@@ -1,5 +1,5 @@
-// Ablation: the counter round-schedule safety constant c (DESIGN.md
-// section 6) trades communication for approximation error. The paper's
+// Ablation: the counter round-schedule safety constant c (README "Counter
+// constants") trades communication for approximation error. The paper's
 // analysis constants are conservative; this sweep quantifies the practical
 // operating curve.
 

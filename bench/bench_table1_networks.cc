@@ -1,5 +1,6 @@
 // Table I: statistics of the benchmark networks. Prints the paper's targets
-// next to what the seeded synthetic stand-ins achieve (DESIGN.md section 3).
+// next to what the seeded synthetic stand-ins achieve (README "Substitutions
+// for the paper's setup").
 
 #include <iostream>
 

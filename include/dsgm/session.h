@@ -262,7 +262,7 @@ struct SessionOptions {
   TrackerConfig tracker;
   /// Events per dispatch batch on the cluster backends.
   int batch_size = 256;
-  /// kThreads only: plumbing override (e.g. MakeLocalTcpTransport to run
+  /// kThreads only: plumbing override (e.g. MakeReactorTransport to run
   /// the threaded cluster over real sockets). Empty = in-process loopback.
   TransportFactory transport;
   /// kLocalTcp only: listen port (0 = ephemeral) and optional file the

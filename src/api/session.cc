@@ -589,6 +589,19 @@ StatusOr<std::unique_ptr<Session>> SessionBuilder::Build() const {
   if (options_.batch_size <= 0) {
     return InvalidArgumentError("session: batch_size must be positive");
   }
+  if (options_.backend != Backend::kInProcess) {
+    // The cluster nodes run one randomized counter per cell; rejecting what
+    // they would silently ignore keeps a config meaning the same thing on
+    // every backend.
+    if (options_.tracker.counter_type != CounterType::kRandomized) {
+      return InvalidArgumentError(
+          "session: deterministic counters run only on Backend::kInProcess");
+    }
+    if (options_.tracker.replicas > 1) {
+      return InvalidArgumentError(
+          "session: replicas > 1 runs only on Backend::kInProcess");
+    }
+  }
   if (options_.transport && options_.backend != Backend::kThreads) {
     return InvalidArgumentError(
         "session: WithTransport applies only to Backend::kThreads");

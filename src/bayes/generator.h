@@ -4,10 +4,11 @@
 // LINK, MUNIN) are not redistributable/fetchable in this offline build, so
 // the repository module (bayes/repository.h) generates stand-ins through
 // GenerateNetwork that match each network's node count, edge count,
-// domain-size range, and free-parameter count. See DESIGN.md section 3 for
-// the substitution argument. This file also implements the two structural
-// transformations of the paper's evaluation: domain inflation (NEW-ALARM)
-// and iterative sink removal (the Fig. 9 scaling series).
+// domain-size range, and free-parameter count. See README "Substitutions
+// for the paper's setup" for the substitution argument. This file also
+// implements the two structural transformations of the paper's evaluation:
+// domain inflation (NEW-ALARM) and iterative sink removal (the Fig. 9
+// scaling series).
 
 #ifndef DSGM_BAYES_GENERATOR_H_
 #define DSGM_BAYES_GENERATOR_H_

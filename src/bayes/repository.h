@@ -1,9 +1,9 @@
 // Named benchmark networks used throughout tests, benches, and examples.
 //
 // ALARM / HEPAR II / LINK / MUNIN are seeded synthetic stand-ins whose
-// structural statistics match the paper's Table I (see DESIGN.md section 3
-// for the substitution rationale). The functions are deterministic: the same
-// binary always works with the same networks.
+// structural statistics match the paper's Table I (see README
+// "Substitutions for the paper's setup" for the rationale). The functions
+// are deterministic: the same binary always works with the same networks.
 
 #ifndef DSGM_BAYES_REPOSITORY_H_
 #define DSGM_BAYES_REPOSITORY_H_

@@ -71,7 +71,7 @@ std::vector<TestEvent> GenerateTestEvents(const BayesianNetwork& network,
     }
     if (++tries_at_floor >= options.max_tries) {
       // The requested floor is infeasible for this network; relax rather
-      // than loop forever (documented in EXPERIMENTS.md).
+      // than loop forever (README "Experiment notes").
       floor /= 10.0;
       tries_at_floor = 0;
     }

@@ -25,7 +25,7 @@ struct ClusterConfig {
   int batch_size = 256;
   /// Builds the plumbing between coordinator and sites. Empty means the
   /// in-process loopback (the pre-transport behavior); pass
-  /// MakeLocalTcpTransport to run the same threads over real sockets.
+  /// MakeReactorTransport to run the same threads over real sockets.
   TransportFactory transport;
 };
 

@@ -1,5 +1,6 @@
 #include "cluster/remote_runner.h"
 
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <thread>
@@ -7,110 +8,113 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "common/timer.h"
 #include "cluster/site_node.h"
 #include "net/codec.h"
+#include "net/reactor.h"
+#include "net/reactor_transport.h"
 #include "net/tcp_socket.h"
-#include "net/tcp_transport.h"
 
 namespace dsgm {
 namespace {
 
-/// Latest coordinator heartbeat echo: written by the connection's reader
-/// thread (TcpConnection::Options::on_heartbeat), read by the heartbeat
-/// sender when it builds the next beat. Closing the NTP timestamp loop is
-/// the only coupling between the two threads, hence the dedicated mutex.
-struct EchoBox {
-  Mutex mu;
-  /// The echo's send_nanos (coordinator clock); 0 until the first echo.
-  int64_t echo_nanos DSGM_GUARDED_BY(mu) = 0;
-  /// Local clock when that echo arrived.
-  int64_t echo_recv_nanos DSGM_GUARDED_BY(mu) = 0;
-};
-
-/// Sends kHeartbeat frames on a fixed cadence until stopped (or until the
-/// connection breaks). Runs beside the SiteNode thread so liveness evidence
-/// flows even while the site is parked in a blocking push or pop.
+/// Sends kHeartbeat frames from a periodic timer on the site's reactor, so
+/// liveness evidence flows even while the SiteNode thread is parked in a
+/// blocking push or pop.
 ///
-/// Each heartbeat piggybacks a kStatsReport frame sampled from `stats` (when
-/// provided) — the coordinator's health table rides the liveness cadence for
-/// free, no extra timer and no extra wakeups on either end. With
+/// Each heartbeat reflects the latest coordinator echo (OnEcho, fed by the
+/// connection's on_heartbeat hook), closing the NTP timestamp loop. It is
+/// followed by a kStatsReport frame sampled from `stats` — the
+/// coordinator's health table rides the liveness cadence for free. With
 /// `ship_traces`, an incremental kTraceChunk drain of this process's trace
 /// rings rides the same cadence (loss-tolerant: the drain cursor accounts
 /// for ring overwrite, and the coordinator reads gaps from the sequence
-/// numbers).
+/// numbers). Every member is loop-thread state: the echo hook and the timer
+/// both run on the reactor, so no lock couples them.
 class HeartbeatSender {
  public:
   using StatsFn = std::function<SiteStatsReport()>;
 
-  HeartbeatSender(TcpConnection* connection, int site_id, int interval_ms,
-                  StatsFn stats, EchoBox* echo, bool ship_traces) {
+  HeartbeatSender(Reactor* reactor, int site_id, bool ship_traces)
+      : reactor_(reactor), site_id_(site_id), ship_traces_(ship_traces) {}
+
+  /// Arms the periodic timer (posted to the loop); interval_ms <= 0 sends
+  /// no heartbeats. `stats` is sampled on the loop thread.
+  void Start(ReactorConnection* connection, int interval_ms, StatsFn stats) {
     if (interval_ms <= 0) return;
-    thread_ = std::thread([this, connection, site_id, interval_ms,
-                           stats = std::move(stats), echo, ship_traces] {
-      uint64_t heartbeats_sent = 0;
-      TraceDrainCursor cursor;
-      MutexLock lock(&mu_);
-      while (!stop_) {
-        // A spurious or racing wakeup before the interval elapses just
-        // sends the heartbeat a little early — harmless, so no need to
-        // re-arm the timed wait in an inner loop.
-        cv_.WaitFor(&lock, std::chrono::milliseconds(interval_ms));
-        if (stop_) break;
-        lock.Unlock();
-        HeartbeatTimestamps hb;
-        if (echo != nullptr) {
-          MutexLock echo_lock(&echo->mu);
-          hb.echo_nanos = echo->echo_nanos;
-          hb.echo_recv_nanos = echo->echo_recv_nanos;
-        }
-        hb.send_nanos = NowNanos();
-        // Recorded before the drain below, so the beat's own trace event
-        // ships in the chunk that rides it — the coordinator's post-mortem
-        // of a dead site ends with that site's final heartbeat.
-        Trace(TraceEventType::kHeartbeat, site_id,
-              static_cast<int64_t>(heartbeats_sent + 1));
-        bool sent = connection->SendFrame(MakeHeartbeat(site_id, hb));
-        if (sent) {
-          ++heartbeats_sent;
-          if (stats) {
-            SiteStatsReport report = stats();
-            report.site = site_id;
-            report.heartbeats_sent = heartbeats_sent;
-            sent = connection->SendFrame(MakeStatsReport(report));
-          }
-        }
-        if (sent && ship_traces) {
-          TraceChunk chunk;
-          chunk.site = site_id;
-          if (DrainTraceEvents(&cursor, &chunk.events, &chunk.first_seq) > 0) {
-            sent = connection->SendFrame(MakeTraceChunk(std::move(chunk)));
-          }
-        }
-        lock.Lock();
-        if (!sent) break;  // Peer gone; nothing left to prove alive to.
-      }
+    reactor_->Post([this, connection, interval_ms, stats = std::move(stats)] {
+      reactor_->loop_role.AssertHeld();
+      connection_ = connection;
+      stats_ = stats;
+      timer_ = reactor_->AddTimer(
+          interval_ms,
+          [this] {
+            reactor_->loop_role.AssertHeld();
+            Beat();
+          },
+          /*periodic=*/true);
     });
   }
 
-  ~HeartbeatSender() { Stop(); }
-
-  void Stop() DSGM_EXCLUDES(mu_) {
-    {
-      MutexLock lock(&mu_);
-      stop_ = true;
-    }
-    cv_.NotifyAll();
-    if (thread_.joinable()) thread_.join();
+  /// The connection's on_heartbeat hook (reactor thread): remembers the
+  /// coordinator's echo (its send time, on the coordinator clock) and when
+  /// it arrived here.
+  void OnEcho(const HeartbeatTimestamps& echo, int64_t recv_nanos) {
+    reactor_->loop_role.AssertHeld();
+    echo_nanos_ = echo.send_nanos;
+    echo_recv_nanos_ = recv_nanos;
   }
 
  private:
-  Mutex mu_;
-  CondVar cv_;
-  bool stop_ DSGM_GUARDED_BY(mu_) = false;
-  std::thread thread_;
+  void Beat() DSGM_REQUIRES(reactor_->loop_role) {
+    HeartbeatTimestamps hb;
+    hb.echo_nanos = echo_nanos_;
+    hb.echo_recv_nanos = echo_recv_nanos_;
+    hb.send_nanos = NowNanos();
+    // Recorded before the drain below, so the beat's own trace event ships
+    // in the chunk that rides it — the coordinator's post-mortem of a dead
+    // site ends with that site's final heartbeat.
+    Trace(TraceEventType::kHeartbeat, site_id_,
+          static_cast<int64_t>(heartbeats_sent_ + 1));
+    // Telemetry bypasses the outbox cap: it is cadence-bounded, and the
+    // loop thread never parks on its own outbox anyway.
+    bool sent = connection_->SendFrame(MakeHeartbeat(site_id_, hb),
+                                       /*bypass_backpressure=*/true);
+    if (sent) {
+      ++heartbeats_sent_;
+      if (stats_) {
+        SiteStatsReport report = stats_();
+        report.site = site_id_;
+        report.heartbeats_sent = heartbeats_sent_;
+        sent = connection_->SendFrame(MakeStatsReport(report),
+                                      /*bypass_backpressure=*/true);
+      }
+    }
+    if (sent && ship_traces_) {
+      TraceChunk chunk;
+      chunk.site = site_id_;
+      if (DrainTraceEvents(&cursor_, &chunk.events, &chunk.first_seq) > 0) {
+        sent = connection_->SendFrame(MakeTraceChunk(std::move(chunk)),
+                                      /*bypass_backpressure=*/true);
+      }
+    }
+    // Peer gone; nothing left to prove alive to.
+    if (!sent) reactor_->CancelTimer(timer_);
+  }
+
+  Reactor* const reactor_;
+  const int site_id_;
+  const bool ship_traces_;
+  ReactorConnection* connection_ DSGM_GUARDED_BY(reactor_->loop_role) = nullptr;
+  StatsFn stats_ DSGM_GUARDED_BY(reactor_->loop_role);
+  Reactor::TimerId timer_ DSGM_GUARDED_BY(reactor_->loop_role) = 0;
+  /// The last echo's send_nanos (coordinator clock); 0 until the first.
+  int64_t echo_nanos_ DSGM_GUARDED_BY(reactor_->loop_role) = 0;
+  /// Local clock when that echo arrived.
+  int64_t echo_recv_nanos_ DSGM_GUARDED_BY(reactor_->loop_role) = 0;
+  uint64_t heartbeats_sent_ DSGM_GUARDED_BY(reactor_->loop_role) = 0;
+  TraceDrainCursor cursor_ DSGM_GUARDED_BY(reactor_->loop_role);
 };
 
 }  // namespace
@@ -129,29 +133,38 @@ StatusOr<RemoteSiteResult> RunRemoteSite(const BayesianNetwork& network,
     socket = TcpSocket::Connect(config.host, config.port);
   }
   if (!socket.ok()) return socket.status();
+  DSGM_RETURN_IF_ERROR(SendHelloBlocking(&socket.value(), config.site_id));
 
-  EchoBox echo;
-  TcpConnection::Options options;
-  options.on_heartbeat = [&echo](const HeartbeatTimestamps& frame_hb,
-                                 int64_t recv_nanos) {
-    MutexLock lock(&echo.mu);
-    echo.echo_nanos = frame_hb.send_nanos;
-    echo.echo_recv_nanos = recv_nanos;
+  // The event loop is built only after the hello, so a coordinator waiting
+  // for every site's hello never waits on loop setup. Declaration order is
+  // teardown order: the reactor outlives everything its closures touch.
+  Reactor reactor;
+  HeartbeatSender heartbeats(&reactor, config.site_id, config.ship_traces);
+  // Set (reactor thread) once the read side ends: the coordinator closed
+  // the connection, or it broke.
+  std::atomic<bool> read_ended{false};
+  ReactorConnection::Options options;
+  options.receive_direction = ProtocolDirection::kCoordinatorToSite;
+  options.on_heartbeat = [&heartbeats](const HeartbeatTimestamps& hb,
+                                       int64_t recv_nanos) {
+    heartbeats.OnEcho(hb, recv_nanos);
   };
-  TcpConnection connection(std::move(socket).value(), options);
-  DSGM_RETURN_IF_ERROR(connection.SendHello(config.site_id));
+  options.on_read_end = [&read_ended] {
+    read_ended.store(true, std::memory_order_release);
+  };
+  // Compression switches on when the coordinator's capability reply-hello
+  // arrives (the connection's kHello arm).
+  ReactorConnection connection(&reactor, std::move(socket).value(),
+                               config.site_id, options);
+  reactor.Start();
   connection.Start();
 
   SiteNode site(config.site_id, network, config.seed, connection.events(),
                 connection.commands(), connection.updates());
-  // The sender samples the node's relaxed stats atomics; safe while Run()
-  // is live, and the sender is stopped before `site` leaves scope. The
-  // echo box is written by the connection's reader thread, which Shutdown()
-  // joins before either outlives this frame.
-  HeartbeatSender heartbeats(&connection, config.site_id,
-                             config.heartbeat_interval_ms,
-                             [&site] { return site.StatsReport(); }, &echo,
-                             config.ship_traces);
+  // The timer samples the node's relaxed stats atomics; safe while Run() is
+  // live, and the reactor is stopped before `site` leaves scope.
+  heartbeats.Start(&connection, config.heartbeat_interval_ms,
+                   [&site] { return site.StatsReport(); });
   site.Run();
 
   // Protocol finished; report exact totals so the coordinator can validate
@@ -166,22 +179,23 @@ StatusOr<RemoteSiteResult> RunRemoteSite(const BayesianNetwork& network,
           CounterReport{static_cast<int64_t>(c), counts[c]});
     }
   }
-  if (!connection.updates()->Push(std::move(final_counts))) {
-    return InternalError("coordinator vanished before the final counts report");
-  }
-
-  // Linger until the coordinator closes the connection (bounded): the
-  // coordinator's liveness policy treats any mid-run EOF as a site failure,
-  // so the site must not be the one to hang up while the coordinator is
-  // still collecting final counts from its peers. Heartbeats keep flowing
+  const bool reported = connection.updates()->Push(std::move(final_counts));
+  // Linger until the coordinator closes the connection (bounded): its
+  // liveness policy treats any mid-run EOF as a site failure, so the site
+  // must not be the one to hang up while the coordinator is still
+  // collecting final counts from its peers. Heartbeats keep flowing
   // through the wait.
   const int64_t linger_deadline_nanos =
       NowNanos() + static_cast<int64_t>(config.shutdown_linger_ms) * 1000000;
-  while (!connection.finished() && NowNanos() < linger_deadline_nanos) {
+  while (reported && !read_ended.load(std::memory_order_acquire) &&
+         NowNanos() < linger_deadline_nanos) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  heartbeats.Stop();
-  connection.Shutdown();
+  reactor.Stop();
+  connection.ShutdownFromOwner();
+  if (!reported) {
+    return InternalError("coordinator vanished before the final counts report");
+  }
 
   RemoteSiteResult result;
   result.events_processed = site.events_processed();

@@ -2,11 +2,14 @@
 // processes talking localhost (or LAN) TCP through net/.
 //
 //   RunRemoteSite — the site side: connects (with retry while the
-//     coordinator boots), announces its site id and protocol version, runs
-//     the SiteNode while a background thread sends kHeartbeat liveness
-//     beacons, then reports final counts and lingers until the coordinator
-//     closes the connection. The public ServeSite()
-//     (include/dsgm/site_service.h) is a thin alias over this.
+//     coordinator boots), announces its site id and protocol version, then
+//     serves the SiteNode through a client-side ReactorConnection on an
+//     event loop of its own (net/reactor_transport.h): the loop coalesces
+//     the node's upstream frames into one write per wakeup, and a periodic
+//     timer on it sends the kHeartbeat liveness beacons. Finally it reports
+//     final counts and lingers until the coordinator closes the connection.
+//     The public ServeSite() (include/dsgm/site_service.h) is a thin alias
+//     over this.
 //
 // The coordinator side is the Session API (Backend::kLocalTcp +
 // WithExternalSites) — it runs the reactor transport with per-site

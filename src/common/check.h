@@ -1,8 +1,9 @@
 // Lightweight CHECK macros for invariant enforcement.
 //
-// The project does not use C++ exceptions (see DESIGN.md); programmer errors
-// and broken invariants abort the process with a diagnostic, while
-// recoverable errors flow through Status/StatusOr (see common/status.h).
+// The project does not use C++ exceptions (README "Error handling");
+// programmer errors and broken invariants abort the process with a
+// diagnostic, while recoverable errors flow through Status/StatusOr (see
+// common/status.h).
 
 #ifndef DSGM_COMMON_CHECK_H_
 #define DSGM_COMMON_CHECK_H_

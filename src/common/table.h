@@ -2,7 +2,7 @@
 //
 // Every experiment binary prints its table/figure series through this class
 // so that the console output of `bench_*` binaries mirrors the rows the paper
-// reports (see EXPERIMENTS.md).
+// reports (see README "Experiment notes").
 
 #ifndef DSGM_COMMON_TABLE_H_
 #define DSGM_COMMON_TABLE_H_

@@ -54,7 +54,8 @@ struct TrackerConfig {
   /// the O(log 1/delta) amplification of Theorem 1. The paper's experiments
   /// (and our defaults) run a single instance.
   int replicas = 1;
-  /// Safety constant of the counter round schedule (DESIGN.md section 6).
+  /// Safety constant of the counter round schedule (README "Counter
+  /// constants").
   double probability_constant = 1.0;
   /// Constant-factor loosening applied to the per-variable error allocation
   /// before it parameterizes the counters: counter epsilon = relaxation *
@@ -62,7 +63,8 @@ struct TrackerConfig {
   /// deviations; since sqrt(8)*R/16 < 1 for R <= 5 the e^{±eps} guarantee of
   /// Definition 2 is preserved while counters enter the cheap sampled
   /// regime ~R times earlier. The paper's reported message counts (e.g.
-  /// Table III) are only reachable with such a constant; see EXPERIMENTS.md.
+  /// Table III) are only reachable with such a constant; see README
+  /// "Counter constants".
   double allocation_relaxation = 4.0;
   /// Optional Laplace smoothing applied at query time:
   /// (A + a) / (B + a * J). 0 reproduces the raw MLE of the paper.

@@ -44,7 +44,7 @@ namespace dsgm {
 struct ApproxCounterOptions {
   int num_sites = 30;
   uint64_t seed = 1;
-  /// Safety constant c of the round schedule (DESIGN.md section 6).
+  /// Safety constant c of the round schedule (README "Counter constants").
   double probability_constant = 1.0;
 };
 

@@ -6,7 +6,7 @@
 // PopBatch blocks until data or close, then drains remaining items before
 // reporting 0. The cluster nodes (site_node, coordinator_node) speak only
 // through this interface, so the same protocol logic runs over in-process
-// queues (QueueChannel) or real sockets (net/tcp_transport.h).
+// queues (QueueChannel) or real sockets (net/reactor_transport.h).
 
 #ifndef DSGM_NET_CHANNEL_H_
 #define DSGM_NET_CHANNEL_H_

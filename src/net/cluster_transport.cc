@@ -3,14 +3,12 @@
 #include <utility>
 
 #include "common/check.h"
-#include "net/tcp_socket.h"
-#include "net/tcp_transport.h"
 
 namespace dsgm {
 namespace {
 
-// Queue bounds shared by both transports (loopback uses them directly, TCP
-// as inbox capacities) so backpressure behaves identically.
+// Queue bounds; the reactor transport's inbox capacities default to the
+// same values so backpressure behaves identically.
 constexpr size_t kEventQueueCapacity = 64;
 constexpr size_t kCommandQueueCapacity = 1 << 16;
 constexpr size_t kUpdateQueueCapacity = 8192;
@@ -65,103 +63,11 @@ class LoopbackTransport : public ClusterTransport {
   std::vector<std::unique_ptr<QueueChannel<RoundAdvance>>> command_channels_;
 };
 
-class LocalTcpTransport : public ClusterTransport {
- public:
-  explicit LocalTcpTransport(int num_sites)
-      : num_sites_(num_sites),
-        merged_updates_(kUpdateQueueCapacity),
-        update_channel_(&merged_updates_) {
-    StatusOr<TcpListener> listener = TcpListener::Listen(0, num_sites + 8);
-    DSGM_CHECK(listener.ok()) << listener.status();
-
-    // Connect every site first (the kernel completes the handshakes against
-    // the listen backlog), then accept and pair by the hello's site id.
-    site_connections_.resize(static_cast<size_t>(num_sites));
-    for (int s = 0; s < num_sites; ++s) {
-      StatusOr<TcpSocket> socket =
-          TcpSocket::Connect("127.0.0.1", listener->port());
-      DSGM_CHECK(socket.ok()) << socket.status();
-      auto connection =
-          std::make_unique<TcpConnection>(std::move(socket).value());
-      DSGM_CHECK(connection->SendHello(s).ok());
-      connection->Start();
-      site_connections_[static_cast<size_t>(s)] = std::move(connection);
-    }
-    TcpConnection::Options options;
-    options.shared_updates = &merged_updates_;
-    options.buffered_commands = true;  // Deadlock avoidance; see Options.
-    StatusOr<std::vector<std::unique_ptr<TcpConnection>>> accepted =
-        AcceptSiteConnections(&listener.value(), num_sites, options);
-    DSGM_CHECK(accepted.ok()) << accepted.status();
-    coordinator_connections_ = std::move(accepted).value();
-  }
-
-  ~LocalTcpTransport() override { Shutdown(); }
-
-  int num_sites() const override { return num_sites_; }
-
-  CoordinatorEndpoints coordinator() override {
-    CoordinatorEndpoints endpoints;
-    endpoints.updates = &update_channel_;
-    for (int s = 0; s < num_sites_; ++s) {
-      endpoints.events.push_back(
-          coordinator_connections_[static_cast<size_t>(s)]->events());
-      endpoints.commands.push_back(
-          coordinator_connections_[static_cast<size_t>(s)]->commands());
-    }
-    return endpoints;
-  }
-
-  SiteEndpoints site(int s) override {
-    DSGM_CHECK_GE(s, 0);
-    DSGM_CHECK_LT(s, num_sites_);
-    SiteEndpoints endpoints;
-    TcpConnection* connection = site_connections_[static_cast<size_t>(s)].get();
-    endpoints.events = connection->events();
-    endpoints.commands = connection->commands();
-    endpoints.updates = connection->updates();
-    return endpoints;
-  }
-
-  TransportStats stats() const override {
-    // Count on the coordinator side only; the site side of each socket pair
-    // would double every byte.
-    TransportStats stats;
-    stats.measured = true;
-    for (const auto& connection : coordinator_connections_) {
-      stats.bytes_down += connection->bytes_sent();
-      stats.bytes_up += connection->bytes_received();
-    }
-    return stats;
-  }
-
-  void Shutdown() override {
-    for (auto& connection : site_connections_) {
-      if (connection != nullptr) connection->Shutdown();
-    }
-    for (auto& connection : coordinator_connections_) {
-      if (connection != nullptr) connection->Shutdown();
-    }
-  }
-
- private:
-  int num_sites_;
-  BoundedQueue<UpdateBundle> merged_updates_;
-  QueueChannel<UpdateBundle> update_channel_;
-  std::vector<std::unique_ptr<TcpConnection>> site_connections_;
-  std::vector<std::unique_ptr<TcpConnection>> coordinator_connections_;
-};
-
 }  // namespace
 
 std::unique_ptr<ClusterTransport> MakeLoopbackTransport(int num_sites) {
   DSGM_CHECK_GT(num_sites, 0);
   return std::make_unique<LoopbackTransport>(num_sites);
-}
-
-std::unique_ptr<ClusterTransport> MakeLocalTcpTransport(int num_sites) {
-  DSGM_CHECK_GT(num_sites, 0);
-  return std::make_unique<LocalTcpTransport>(num_sites);
 }
 
 }  // namespace dsgm

@@ -6,11 +6,12 @@
 //   - MakeLoopbackTransport: the original in-process BoundedQueues, wrapped
 //     in QueueChannels. Zero serialization; the threaded benchmarks
 //     (paper Figs. 7-8) run on this unchanged.
-//   - MakeLocalTcpTransport: k real localhost TCP connections (one per
-//     site) with framed, codec-serialized traffic. The processes' roles
-//     stay in-process threads, but every byte crosses the kernel socket
-//     layer — the honest-bytes substrate, also used by the transport
-//     conformance tests and the net throughput bench.
+//   - MakeReactorTransport: k real localhost TCP connections (one per
+//     site) with framed, codec-serialized traffic, served by event loops
+//     (net/reactor_transport.h). The roles stay in-process threads, but
+//     every byte crosses the kernel socket layer — the honest-bytes
+//     substrate, also used by the net throughput benches. The kLocalTcp
+//     backend and the multi-process roles run the same ReactorConnection.
 //
 // Both implementations must pass the shared conformance suite in
 // tests/transport_test.cc.
@@ -75,15 +76,12 @@ using TransportFactory =
 std::unique_ptr<ClusterTransport> MakeLoopbackTransport(int num_sites);
 
 /// Spins up a localhost listener plus one connected socket pair per site,
-/// all within this process. Aborts via DSGM_CHECK if localhost sockets are
-/// unavailable (an environment problem, not a recoverable input).
-std::unique_ptr<ClusterTransport> MakeLocalTcpTransport(int num_sites);
-
-/// Same localhost socket pairs, but served by TWO reactor event-loop
-/// threads total (one owning every coordinator-side connection, one owning
-/// every site side) instead of 2-3 threads per site — the transport that
-/// lets one coordinator scale to hundreds of sites. Implemented in
-/// net/reactor_transport.{h,cc}; passes the same conformance suite.
+/// all within this process, served by TWO reactor event-loop threads total
+/// (one owning every coordinator-side connection, one owning every site
+/// side) — the transport that lets one coordinator scale to hundreds of
+/// sites. Implemented in net/reactor_transport.{h,cc}. Aborts via
+/// DSGM_CHECK if localhost sockets are unavailable (an environment
+/// problem, not a recoverable input).
 std::unique_ptr<ClusterTransport> MakeReactorTransport(int num_sites);
 
 /// Same, with an explicit readiness backend for both reactor threads

@@ -141,10 +141,9 @@ const char* WireInputName(WireInput input);
 inline constexpr char kProtocolViolationsMetric[] = "net.protocol.violations";
 
 /// Per-connection validator over the table. Single-threaded by contract:
-/// each transport consults it from the one thread that decodes that
-/// connection's frames (the reactor loop, a TcpConnection's reader, or the
-/// owner during the blocking handshake — handshake and reader are ordered
-/// by thread creation).
+/// each connection consults it from the one thread that decodes its frames
+/// (the reactor loop, or the owner during the blocking handshake read,
+/// which runs before the connection joins the loop).
 class ProtocolConformance {
  public:
   /// `version` is the highest revision this endpoint speaks on this

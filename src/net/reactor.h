@@ -1,7 +1,7 @@
 // A single-threaded event loop — the I/O substrate that lets ONE
-// coordinator thread own hundreds of site connections (the thread-per-
-// connection transport needs 2-3 threads per site; see net/reactor_transport.h
-// for the transport built on top).
+// coordinator thread own hundreds of site connections instead of a reader
+// and writer thread per site (see net/reactor_transport.h for the transport
+// built on top).
 //
 // Pieces:
 //   - TimerWheel: a hashed timer wheel (fixed tick, power-of-two slots) for

@@ -70,8 +70,9 @@ StatusOr<HelloInfo> ReadHelloInfoBlocking(TcpSocket* socket) {
       return info;
     }
     case ProtocolVerdict::kVersionMismatch:
-      // Same code split as TcpConnection::ReadHello: version mismatch is a
-      // deployment error surfaced loudly, anything else a droppable stray.
+      // Version mismatch is a deployment error surfaced loudly (a genuine
+      // dsgm peer speaking another revision); anything else is a droppable
+      // stray.
       return FailedPreconditionError(
           "reactor: protocol version mismatch: peer speaks v" +
           std::to_string(frame.protocol_version) + ", this build speaks v" +
@@ -464,6 +465,12 @@ bool ReactorConnection::TryDeliver(Frame* frame) {
       // (Frame::type holds the inner type, Frame::compressed the flag).
       return true;
     case FrameType::kHeartbeat: {
+      if (options_.receive_direction == ProtocolDirection::kCoordinatorToSite) {
+        // The site side of the echo loop: hand the coordinator's echo (plus
+        // the local receive time) to the site's heartbeat timer.
+        if (options_.on_heartbeat) options_.on_heartbeat(frame->hb, NowNanos());
+        return true;
+      }
       // Liveness is credited by the read itself (last_rx_nanos_); the
       // claimed site id is deliberately ignored — a forged id proves
       // nothing beyond this connection being alive.
@@ -624,9 +631,10 @@ ReactorCoordinator::ReactorCoordinator(int num_sites, const Options& options)
 ReactorCoordinator::~ReactorCoordinator() { Shutdown(); }
 
 Status ReactorCoordinator::AcceptSites(TcpListener* listener) {
-  // Stray-connection policy mirrors AcceptSiteConnections: port probes and
-  // pre-hello deaths are dropped and re-accepted (bounded), a version
-  // mismatch or duplicate valid site id is fatal.
+  // Stray-connection policy: port probes and pre-hello deaths are dropped
+  // and re-accepted (bounded; the hello read has a timeout so a silent peer
+  // cannot stall the loop), a version mismatch or duplicate valid site id is
+  // fatal — those are misconfigured real sites, not line noise.
   constexpr int kHelloTimeoutMs = 10000;
   int rejects_left = 16 + 4 * num_sites_;
   int accepted = 0;

@@ -1,10 +1,16 @@
-// The reactor-based cluster transport: ONE I/O thread (per endpoint group)
-// owns every site connection, replacing the thread-per-connection reader
-// and writer threads of net/tcp_transport.h. Nonblocking framed reads and
-// writes run on a net/reactor.h event loop; each connection keeps a
-// per-connection outbox buffer (staged by any thread, drained by the loop)
-// and per-lane inboxes with receiver-driven flow control (a full inbox
-// pauses reading THAT socket, never the loop).
+// The socket cluster transport: ONE I/O thread (per endpoint group) owns
+// every connection of that group. Nonblocking framed reads and writes run
+// on a net/reactor.h event loop; each connection keeps a per-connection
+// outbox buffer (staged by any thread, drained by the loop, so frames
+// staged between two loop wakeups leave in one write) and per-lane inboxes
+// with receiver-driven flow control (a full inbox pauses reading THAT
+// socket, never the loop).
+//
+// Both ends of a connection are ReactorConnections. The coordinator side
+// runs under a ReactorCoordinator (one loop for every site); a site
+// process dials out, sends its hello with SendHelloBlocking, and serves its
+// SiteNode through a client-side ReactorConnection (receive_direction =
+// kCoordinatorToSite) on a loop of its own — see cluster/remote_runner.h.
 //
 // On top of the loop sits the liveness protocol: sites send kHeartbeat
 // frames (net/codec.h) on an interval, the coordinator arms a per-site
@@ -19,11 +25,10 @@
 // the merged update queue; if it could block staging a command while that
 // queue is full, the cycle coordinator -> outbox -> site socket -> site
 // inboxes -> site updates -> merged queue -> coordinator would deadlock the
-// cluster (the same cycle Options::buffered_commands breaks in the
-// thread-per-connection transport). Commands are protocol-bounded (at most
-// counters x rounds frames), so the exemption cannot grow the outbox
-// without bound. EventBatch and UpdateBundle pushes block on the cap —
-// that is the transport's backpressure, mirroring the loopback queues.
+// cluster. Commands are protocol-bounded (at most counters x rounds
+// frames), so the exemption cannot grow the outbox without bound. EventBatch
+// and UpdateBundle pushes block on the cap — that is the transport's
+// backpressure, mirroring the loopback queues.
 //
 // Concurrency contracts are compile-checked: loop-only state is guarded by
 // the reactor's `loop_role` capability, the cross-thread outbox by
@@ -208,9 +213,9 @@ class FlowChannel : public Channel<T> {
 
 class ReactorConnection;
 
-/// One logical lane of a ReactorConnection; same role as TcpChannel but
-/// sends stage bytes into the connection outbox instead of writing the
-/// socket inline.
+/// One logical lane of a ReactorConnection: Push stages the encoded frame
+/// in the connection outbox (the loop writes it), PopBatch reads the lane's
+/// inbox (the loop fills it).
 template <typename T>
 class ReactorChannel : public Channel<T> {
  public:
@@ -240,7 +245,7 @@ class ReactorChannel : public Channel<T> {
 class ReactorConnection {
  public:
   struct Options {
-    /// Inbox bounds, matching the loopback/TCP queue capacities so every
+    /// Inbox bounds, matching the loopback queue capacities so every
     /// transport exerts the same backpressure.
     size_t event_capacity = 64;
     size_t command_capacity = 1 << 16;
@@ -257,7 +262,7 @@ class ReactorConnection {
     /// peer dead after this long without ANY received traffic (heartbeats
     /// count, as does protocol data), and treats a mid-run EOF or read
     /// error as a peer failure too. 0 = a silent or vanished peer just
-    /// closes its inboxes (the thread-per-connection semantics).
+    /// closes its inboxes.
     int liveness_timeout_ms = 0;
     /// Invoked (reactor thread, at most once) when the peer is declared
     /// dead under liveness_timeout_ms, with the UNAVAILABLE status.
@@ -280,6 +285,12 @@ class ReactorConnection {
     /// timestamp loop. Echoes bypass backpressure like commands — they are
     /// heartbeat-cadence bounded, so they cannot grow the outbox unbounded.
     bool echo_heartbeats = false;
+    /// Site side (receive_direction = kCoordinatorToSite): invoked (reactor
+    /// thread) for every received kHeartbeat — the coordinator's echo — with
+    /// its timestamps and the local receive time. The site's heartbeat timer
+    /// reflects both in its next beat, closing the NTP loop.
+    std::function<void(const HeartbeatTimestamps&, int64_t recv_nanos)>
+        on_heartbeat;
     /// Which half of the protocol this connection RECEIVES (see
     /// net/protocol_spec.h). Every decoded frame is checked against the
     /// conformance table for this direction; a violation drops the
@@ -436,14 +447,15 @@ class ReactorConnection {
 };
 
 /// The coordinator side of a multi-process cluster on one reactor thread:
-/// accepts and hello-pairs `num_sites` connections (same stray/version/
-/// duplicate handling as AcceptSiteConnections), merges their update lanes,
-/// and enforces per-site liveness.
+/// accepts and hello-pairs `num_sites` connections, merges their update
+/// lanes, and enforces per-site liveness. Stray connections (port probes,
+/// peers that die or speak before their hello) are dropped and re-accepted,
+/// a bounded number of times; a version-mismatched hello or a duplicate
+/// valid site id fails the accept.
 class ReactorCoordinator {
  public:
   struct Options {
-    /// 0 disables liveness (a dead site can then stall the run again, like
-    /// the thread-per-connection transport).
+    /// 0 disables liveness (a dead site can then stall the run).
     int liveness_timeout_ms = 5000;
     /// Reactor thread, at most once per site: the site was declared dead.
     std::function<void(int site, const Status&)> on_site_failure;
@@ -499,8 +511,8 @@ class ReactorCoordinator {
 };
 
 // Blocking hello exchange over a not-yet-reactor-owned socket (shared by
-// the in-process transport and ReactorCoordinator::AcceptSites; framing
-// identical to TcpConnection's handshake).
+// the in-process transport, ReactorCoordinator::AcceptSites and the site
+// role; the hello is an ordinary length-prefixed frame).
 Status SendHelloBlocking(TcpSocket* socket, int32_t site);
 
 /// What a blocking hello read learned about the peer: its announced site,

@@ -145,9 +145,10 @@ TEST(IntegrationTest, ErrorToTruthShrinksWithMoreData) {
 
 TEST(IntegrationTest, NewAlarmSeparatesNonUniformFromUniform) {
   // Section VI-B: on NEW-ALARM the NONUNIFORM allocation saves messages
-  // relative to UNIFORM (the paper reports ~35%; see EXPERIMENTS.md for the
-  // crossover analysis — the separation appears once most counter cells are
-  // in the sampled regime, which needs a couple of million events here).
+  // relative to UNIFORM (the paper reports ~35%; see README "Experiment
+  // notes" for the crossover analysis — the separation appears once most
+  // counter cells are in the sampled regime, which needs a couple of
+  // million events here).
   // All seeds are fixed, so the outcome is deterministic.
   const BayesianNetwork net = NewAlarm();
   TrackerConfig config;

@@ -1,8 +1,8 @@
 // End-to-end cluster runs over real localhost TCP sockets: a kThreads
-// Session with the MakeLocalTcpTransport / MakeReactorTransport factories
-// must satisfy the same correctness bounds as the in-process loopback run
-// (tests/cluster_test.cc), with every frame codec-serialized through the
-// kernel socket layer.
+// Session over the kLocalTcp site-role wiring (MakeSiteRoleTransport) and
+// over MakeReactorTransport must satisfy the same correctness bounds as the
+// in-process loopback run (tests/cluster_test.cc), with every frame
+// codec-serialized through the kernel socket layer.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include "bayes/repository.h"
 #include "dsgm/dsgm.h"
 #include "net/cluster_transport.h"
+#include "site_role_transport.h"
 
 namespace dsgm {
 namespace {
@@ -37,8 +38,8 @@ struct NetClusterParam {
   TransportFactory factory;
 };
 
-/// Both socketed transports (thread-per-connection and reactor) must meet
-/// the same end-to-end bounds.
+/// Both socket wirings (one loop per site, as kLocalTcp runs its sites, and
+/// one shared site loop) must meet the same end-to-end bounds.
 class NetClusterTest : public ::testing::TestWithParam<NetClusterParam> {};
 
 TEST_P(NetClusterTest, ExactModeOverTcpReproducesCountsExactly) {
@@ -99,7 +100,7 @@ TEST_P(NetClusterTest, TcpAndLoopbackAgreeOnProtocolTraffic) {
 
 INSTANTIATE_TEST_SUITE_P(
     SocketTransports, NetClusterTest,
-    ::testing::Values(NetClusterParam{"LocalTcp", MakeLocalTcpTransport},
+    ::testing::Values(NetClusterParam{"LocalTcp", MakeSiteRoleTransport},
                       NetClusterParam{"Reactor",
                                       [](int n) {
                                         return MakeReactorTransport(n);

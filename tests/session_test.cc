@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -232,6 +233,46 @@ TEST(SessionTest, BuilderValidatesConfiguration) {
     builder.WithBackend(Backend::kThreads).WithListenPort(7700);
     EXPECT_FALSE(builder.Build().ok());
   }
+}
+
+// The cluster nodes run one randomized counter per cell, so Build() must
+// reject the counter options they would otherwise silently ignore — on both
+// cluster backends — while kInProcess keeps honoring them.
+TEST(SessionTest, DeterministicCountersAreRejectedOnClusterBackends) {
+  const BayesianNetwork net = StudentNetwork();
+  for (Backend backend : {Backend::kThreads, Backend::kLocalTcp}) {
+    SessionBuilder builder = MakeBuilder(net, backend);
+    builder.WithCounterType(CounterType::kDeterministic);
+    const StatusOr<std::unique_ptr<Session>> built = builder.Build();
+    ASSERT_FALSE(built.ok()) << "backend " << static_cast<int>(backend);
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(built.status().message().find("deterministic"), std::string::npos)
+        << built.status();
+  }
+  SessionBuilder builder = MakeBuilder(net, Backend::kInProcess);
+  builder.WithCounterType(CounterType::kDeterministic);
+  EXPECT_TRUE(builder.Build().ok());
+}
+
+TEST(SessionTest, ReplicasAreRejectedOnClusterBackends) {
+  const BayesianNetwork net = StudentNetwork();
+  TrackerConfig tracker;
+  tracker.strategy = TrackingStrategy::kUniform;
+  tracker.epsilon = kEpsilon;
+  tracker.num_sites = 3;
+  tracker.replicas = 3;
+  for (Backend backend : {Backend::kThreads, Backend::kLocalTcp}) {
+    SessionBuilder builder(net);
+    builder.WithBackend(backend).WithTracker(tracker);
+    const StatusOr<std::unique_ptr<Session>> built = builder.Build();
+    ASSERT_FALSE(built.ok()) << "backend " << static_cast<int>(backend);
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(built.status().message().find("replicas"), std::string::npos)
+        << built.status();
+  }
+  SessionBuilder builder(net);
+  builder.WithBackend(Backend::kInProcess).WithTracker(tracker);
+  EXPECT_TRUE(builder.Build().ok());
 }
 
 TEST(SessionTest, PushValidatesInstances) {

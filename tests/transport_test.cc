@@ -1,6 +1,7 @@
 // Shared conformance suite for cluster transports: every behavior the
-// cluster nodes rely on, asserted against BOTH implementations (in-process
-// loopback and localhost TCP) through the same parameterized tests. A new
+// cluster nodes rely on, asserted against every wiring (in-process
+// loopback, the reactor transport on each readiness backend, and the
+// kLocalTcp site-role wiring) through the same parameterized tests. A new
 // transport earns its place by passing this suite.
 
 #include <gtest/gtest.h>
@@ -18,8 +19,9 @@
 #include "net/compress.h"
 #include "net/protocol_spec.h"
 #include "net/reactor_transport.h"
+#include "net/reactor.h"
 #include "net/tcp_socket.h"
-#include "net/tcp_transport.h"
+#include "site_role_transport.h"
 
 namespace dsgm {
 namespace {
@@ -226,7 +228,9 @@ INSTANTIATE_TEST_SUITE_P(
     AllTransports, TransportConformanceTest,
     ::testing::Values(
         TransportParam{"Loopback", MakeLoopbackTransport},
-        TransportParam{"LocalTcp", MakeLocalTcpTransport},
+        // The kLocalTcp backend's wiring: the coordinator's accept loop plus
+        // one client-side connection and event loop per site.
+        TransportParam{"LocalTcp", MakeSiteRoleTransport},
         // The reactor runs once per readiness backend: epoll is always
         // there; the io_uring entry skips (not passes) when the kernel
         // refuses rings, so CI records which backend actually ran.
@@ -244,6 +248,27 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // --- Hello protocol versioning ------------------------------------------
+//
+// The coordinator's accept loop (ReactorCoordinator::AcceptSites) against
+// raw peers: a version-mismatched hello is a deployment error, a peer that
+// speaks before its hello is a stray to drop, and a current-version site
+// gets the v5 capability reply-hello.
+
+/// Liveness off: these peers send no heartbeats.
+ReactorCoordinator::Options NoLivenessOptions() {
+  ReactorCoordinator::Options options;
+  options.liveness_timeout_ms = 0;
+  return options;
+}
+
+/// Reads one length-prefixed frame from a blocking socket.
+Status ReadOneFrame(TcpSocket* socket, Frame* frame) {
+  uint8_t prefix[4];
+  DSGM_RETURN_IF_ERROR(socket->RecvAll(prefix, 4));
+  std::vector<uint8_t> payload(DecodeLengthPrefix(prefix));
+  DSGM_RETURN_IF_ERROR(socket->RecvAll(payload.data(), payload.size()));
+  return DecodeFramePayload(payload.data(), payload.size(), frame);
+}
 
 TEST(ProtocolVersionTest, MismatchedHelloIsRejectedWithClearStatus) {
   StatusOr<TcpListener> listener = TcpListener::Listen(0, 4);
@@ -266,15 +291,14 @@ TEST(ProtocolVersionTest, MismatchedHelloIsRejectedWithClearStatus) {
     (void)socket->RecvAll(&unused, 1);
   });
 
-  TcpConnection::Options options;
-  StatusOr<std::vector<std::unique_ptr<TcpConnection>>> accepted =
-      AcceptSiteConnections(&listener.value(), /*num_sites=*/1, options);
-  ASSERT_FALSE(accepted.ok());
-  EXPECT_EQ(accepted.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(accepted.status().message().find("protocol version mismatch"),
+  ReactorCoordinator coordinator(1, NoLivenessOptions());
+  const Status accepted = coordinator.AcceptSites(&listener.value());
+  EXPECT_EQ(accepted.code(), StatusCode::kFailedPrecondition) << accepted;
+  EXPECT_NE(accepted.message().find("protocol version mismatch"),
             std::string::npos)
-      << accepted.status();
+      << accepted;
   listener->Close();
+  coordinator.Shutdown();
   peer.join();
 }
 
@@ -287,34 +311,29 @@ TEST(ProtocolVersionTest, EarlyHeartbeatIsDroppedAsStray) {
   ASSERT_TRUE(listener.ok()) << listener.status();
   const int port = listener->port();
 
-  std::thread early_peer([port] {
-    StatusOr<TcpSocket> socket = TcpSocket::Connect("127.0.0.1", port);
-    if (!socket.ok()) return;
+  // The early peer connects (and its bytes are in flight) BEFORE the real
+  // site, so the accept loop — arrival order — must reject it to finish.
+  StatusOr<TcpSocket> early_peer = TcpSocket::Connect("127.0.0.1", port);
+  ASSERT_TRUE(early_peer.ok()) << early_peer.status();
+  const std::vector<uint8_t> early_bytes = [] {
     std::vector<uint8_t> bytes;
     AppendFrame(MakeHeartbeat(/*site=*/0), &bytes);
-    (void)socket->SendAll(bytes.data(), bytes.size());
-    uint8_t unused = 0;
-    (void)socket->RecvAll(&unused, 1);  // Wait for the coordinator's close.
-  });
+    return bytes;
+  }();
+  ASSERT_TRUE(early_peer->SendAll(early_bytes.data(), early_bytes.size()).ok());
   std::thread real_site([port] {
     StatusOr<TcpSocket> socket = TcpSocket::Connect("127.0.0.1", port);
-    if (!socket.ok()) return;
-    TcpConnection connection(std::move(socket).value());
-    if (!connection.SendHello(/*site=*/0).ok()) return;
-    connection.Start();
-    connection.Shutdown();
+    if (!socket.ok() || !SendHelloBlocking(&socket.value(), 0).ok()) return;
+    uint8_t unused = 0;
+    (void)socket->RecvAll(&unused, 1);  // The reply-hello.
   });
 
-  TcpConnection::Options options;
-  StatusOr<std::vector<std::unique_ptr<TcpConnection>>> accepted =
-      AcceptSiteConnections(&listener.value(), /*num_sites=*/1, options);
-  EXPECT_TRUE(accepted.ok()) << accepted.status();
+  ReactorCoordinator coordinator(1, NoLivenessOptions());
+  const Status accepted = coordinator.AcceptSites(&listener.value());
+  EXPECT_TRUE(accepted.ok()) << accepted;
   listener->Close();
-  early_peer.join();
   real_site.join();
-  if (accepted.ok()) {
-    for (auto& connection : *accepted) connection->Shutdown();
-  }
+  coordinator.Shutdown();
 }
 
 TEST(ProtocolVersionTest, CurrentVersionHelloIsAccepted) {
@@ -322,24 +341,30 @@ TEST(ProtocolVersionTest, CurrentVersionHelloIsAccepted) {
   ASSERT_TRUE(listener.ok()) << listener.status();
   const int port = listener->port();
 
-  std::thread peer([port] {
+  // SendHelloBlocking stamps the current kProtocolVersion; the coordinator
+  // answers it with its own capability hello, the site's first frame back.
+  Frame reply;
+  Status reply_read = InternalError("peer never ran");
+  std::thread peer([port, &reply, &reply_read] {
     StatusOr<TcpSocket> socket = TcpSocket::Connect("127.0.0.1", port);
-    if (!socket.ok()) return;
-    TcpConnection connection(std::move(socket).value());
-    // SendHello stamps the current kProtocolVersion.
-    if (!connection.SendHello(/*site=*/0).ok()) return;
-    connection.Start();
-    connection.Shutdown();
+    if (!socket.ok()) {
+      reply_read = socket.status();
+      return;
+    }
+    reply_read = SendHelloBlocking(&socket.value(), /*site=*/0);
+    if (reply_read.ok()) reply_read = ReadOneFrame(&socket.value(), &reply);
   });
 
-  TcpConnection::Options options;
-  StatusOr<std::vector<std::unique_ptr<TcpConnection>>> accepted =
-      AcceptSiteConnections(&listener.value(), /*num_sites=*/1, options);
-  EXPECT_TRUE(accepted.ok()) << accepted.status();
+  ReactorCoordinator coordinator(1, NoLivenessOptions());
+  const Status accepted = coordinator.AcceptSites(&listener.value());
+  EXPECT_TRUE(accepted.ok()) << accepted;
   peer.join();
-  if (accepted.ok()) {
-    for (auto& connection : *accepted) connection->Shutdown();
-  }
+  ASSERT_TRUE(reply_read.ok()) << reply_read;
+  EXPECT_EQ(reply.type, FrameType::kHello);
+  EXPECT_EQ(reply.protocol_version, kProtocolVersion);
+  EXPECT_EQ(reply.caps & kCapCompression, kCapCompression);
+  listener->Close();
+  coordinator.Shutdown();
 }
 
 TEST(ReactorCoordinatorTest, StatsDuringAcceptDoNotRaceSlotPublication) {
@@ -396,13 +421,17 @@ TEST(ReactorCoordinatorTest, StatsDuringAcceptDoNotRaceSlotPublication) {
   coordinator.Shutdown();
 }
 
-// --- Protocol conformance on the socket transports ------------------------
+// --- Protocol conformance on the socket transport --------------------------
 //
 // Out-of-state frames (data before the hello, a duplicate hello, data after
 // the terminal lane close) must drop the offending connection and increment
 // `net.protocol.violations` — the table-driven contract of
-// net/protocol_spec.h, asserted here against BOTH socket transports'
-// integration points (the blocking TCP reader and the reactor loop).
+// net/protocol_spec.h, asserted at both of the coordinator's integration
+// points: the blocking accept loop and the reactor loop. The
+// ProtocolConformanceTcpTest cases run with liveness OFF, where a dropped
+// connection simply ends its reads (the merged update stream closes once
+// no site can feed it); the ProtocolConformanceReactorTest cases run with
+// liveness ON, where the same drop is surfaced as a site failure.
 
 uint64_t ProtocolViolations() {
   return MetricsRegistry::Global().GetCounter(kProtocolViolationsMetric)->Value();
@@ -414,15 +443,45 @@ std::vector<uint8_t> EncodeFrames(const std::vector<Frame>& frames) {
   return bytes;
 }
 
-/// Waits (bounded) for the reader of `connection` to exit.
-bool WaitFinished(TcpConnection* connection) {
+/// Waits (bounded) until the coordinator's merged update stream ends:
+/// every site connection's reads are over and no bundle is left to drain.
+bool WaitUpdatesEnd(ReactorCoordinator* coordinator) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!connection->finished() &&
-         std::chrono::steady_clock::now() < deadline) {
+  std::vector<UpdateBundle> drained;
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (coordinator->updates()->TryPopBatch(&drained, 64) == 0 &&
+        coordinator->merged_updates()->closed()) {
+      return true;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  return connection->finished();
+  return false;
+}
+
+/// Accepts one raw peer that sends `peer_bytes` right after connecting,
+/// with liveness off; returns true once its connection was dropped.
+bool PeerIsDropped(const std::vector<uint8_t>& peer_bytes) {
+  StatusOr<TcpListener> listener = TcpListener::Listen(0, 4);
+  if (!listener.ok()) return false;
+  const int port = listener->port();
+  std::thread peer([port, &peer_bytes] {
+    StatusOr<TcpSocket> socket = TcpSocket::Connect("127.0.0.1", port);
+    if (!socket.ok()) return;
+    (void)socket->SendAll(peer_bytes.data(), peer_bytes.size());
+    // Drain until the coordinator hangs up (the reply-hello comes first).
+    uint8_t unused = 0;
+    while (socket->RecvAll(&unused, 1).ok()) {
+    }
+  });
+  ReactorCoordinator coordinator(1, NoLivenessOptions());
+  const Status accepted = coordinator.AcceptSites(&listener.value());
+  EXPECT_TRUE(accepted.ok()) << accepted;
+  const bool dropped = accepted.ok() && WaitUpdatesEnd(&coordinator);
+  listener->Close();
+  coordinator.Shutdown();
+  peer.join();
+  return dropped;
 }
 
 TEST(ProtocolConformanceTcpTest, SyncBeforeHelloIsCountedAndDropped) {
@@ -442,84 +501,63 @@ TEST(ProtocolConformanceTcpTest, SyncBeforeHelloIsCountedAndDropped) {
   const std::vector<uint8_t> stray_bytes = EncodeFrames({MakeFrame(sync)});
   ASSERT_TRUE(stray->SendAll(stray_bytes.data(), stray_bytes.size()).ok());
 
-  std::thread real_site([port] {
-    StatusOr<TcpSocket> socket = TcpSocket::Connect("127.0.0.1", port);
-    if (!socket.ok()) return;
-    if (!SendHelloBlocking(&socket.value(), /*site=*/0).ok()) return;
-    uint8_t unused = 0;
-    (void)socket->RecvAll(&unused, 1);  // Linger until the coordinator closes.
-  });
+  // The real site is a full site-role connection: its update reaching the
+  // coordinator proves the slot went to it, not to the stray.
+  StatusOr<TcpSocket> site_socket = TcpSocket::Connect("127.0.0.1", port);
+  ASSERT_TRUE(site_socket.ok()) << site_socket.status();
+  ASSERT_TRUE(SendHelloBlocking(&site_socket.value(), /*site=*/0).ok());
 
-  StatusOr<std::vector<std::unique_ptr<TcpConnection>>> accepted =
-      AcceptSiteConnections(&listener.value(), /*num_sites=*/1,
-                            TcpConnection::Options());
-  EXPECT_TRUE(accepted.ok()) << accepted.status();
+  ReactorCoordinator coordinator(1, NoLivenessOptions());
+  const Status accepted = coordinator.AcceptSites(&listener.value());
+  ASSERT_TRUE(accepted.ok()) << accepted;
   EXPECT_EQ(ProtocolViolations(), 1u);
-  listener->Close();
-  if (accepted.ok()) {
-    for (auto& connection : *accepted) connection->Shutdown();
+
+  Reactor site_reactor;
+  ReactorConnection::Options site_options;
+  site_options.receive_direction = ProtocolDirection::kCoordinatorToSite;
+  ReactorConnection site(&site_reactor, std::move(site_socket).value(), 0,
+                         site_options);
+  site_reactor.Start();
+  site.Start();
+  UpdateBundle bundle;
+  bundle.site = 0;
+  bundle.reports = {{7, 1}};
+  ASSERT_TRUE(site.updates()->Push(std::move(bundle)));
+  std::vector<UpdateBundle> got;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (got.empty() && std::chrono::steady_clock::now() < deadline) {
+    if (coordinator.updates()->TryPopBatch(&got, 1) == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   }
-  real_site.join();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].reports[0].counter, 7);
+  EXPECT_EQ(ProtocolViolations(), 1u);
+
+  listener->Close();
+  coordinator.Shutdown();
+  site_reactor.Stop();
+  site.ShutdownFromOwner();
 }
 
 TEST(ProtocolConformanceTcpTest, DuplicateHelloDropsTheConnection) {
   MetricsRegistry::Global().ResetForTest();
-  StatusOr<TcpListener> listener = TcpListener::Listen(0, 4);
-  ASSERT_TRUE(listener.ok()) << listener.status();
-  const int port = listener->port();
-
-  std::thread peer([port] {
-    StatusOr<TcpSocket> socket = TcpSocket::Connect("127.0.0.1", port);
-    if (!socket.ok()) return;
-    // The second hello is the violation: one handshake per connection.
-    const std::vector<uint8_t> bytes =
-        EncodeFrames({MakeHello(0), MakeHello(0)});
-    (void)socket->SendAll(bytes.data(), bytes.size());
-    uint8_t unused = 0;
-    (void)socket->RecvAll(&unused, 1);
-  });
-
-  StatusOr<std::vector<std::unique_ptr<TcpConnection>>> accepted =
-      AcceptSiteConnections(&listener.value(), /*num_sites=*/1,
-                            TcpConnection::Options());
-  ASSERT_TRUE(accepted.ok()) << accepted.status();
-  // The reader hits the duplicate hello and drops the connection.
-  EXPECT_TRUE(WaitFinished((*accepted)[0].get()));
+  // The second hello is the violation: one handshake per connection. The
+  // accept loop consumes the first; the reactor loop drops on the second.
+  EXPECT_TRUE(PeerIsDropped(EncodeFrames({MakeHello(0), MakeHello(0)})));
   EXPECT_EQ(ProtocolViolations(), 1u);
-  listener->Close();
-  for (auto& connection : *accepted) connection->Shutdown();
-  peer.join();
 }
 
 TEST(ProtocolConformanceTcpTest, StatsAfterCloseDropsTheConnection) {
   MetricsRegistry::Global().ResetForTest();
-  StatusOr<TcpListener> listener = TcpListener::Listen(0, 4);
-  ASSERT_TRUE(listener.ok()) << listener.status();
-  const int port = listener->port();
-
-  std::thread peer([port] {
-    StatusOr<TcpSocket> socket = TcpSocket::Connect("127.0.0.1", port);
-    if (!socket.ok()) return;
-    // Closing the update lane is the site's terminal act; a stats report
-    // (data) after it violates the contract. The preceding heartbeat is
-    // legal in Draining and must NOT trip anything.
-    const std::vector<uint8_t> bytes = EncodeFrames(
-        {MakeHello(0), MakeChannelClose(FrameType::kUpdateBundle),
-         MakeHeartbeat(0), MakeStatsReport(SiteStatsReport{})});
-    (void)socket->SendAll(bytes.data(), bytes.size());
-    uint8_t unused = 0;
-    (void)socket->RecvAll(&unused, 1);
-  });
-
-  StatusOr<std::vector<std::unique_ptr<TcpConnection>>> accepted =
-      AcceptSiteConnections(&listener.value(), /*num_sites=*/1,
-                            TcpConnection::Options());
-  ASSERT_TRUE(accepted.ok()) << accepted.status();
-  EXPECT_TRUE(WaitFinished((*accepted)[0].get()));
+  // Closing the update lane is the site's terminal act; a stats report
+  // (data) after it violates the contract. The preceding heartbeat is
+  // legal in Draining and must NOT trip anything.
+  EXPECT_TRUE(PeerIsDropped(EncodeFrames(
+      {MakeHello(0), MakeChannelClose(FrameType::kUpdateBundle),
+       MakeHeartbeat(0), MakeStatsReport(SiteStatsReport{})})));
   EXPECT_EQ(ProtocolViolations(), 1u);
-  listener->Close();
-  for (auto& connection : *accepted) connection->Shutdown();
-  peer.join();
 }
 
 /// Reactor-side harness: accepts one adversarial peer under a
@@ -678,32 +716,27 @@ TEST(MixedVersionTest, V4SiteRunsUncompressedAgainstV5Coordinator) {
                         std::memory_order_relaxed);
   });
 
-  StatusOr<std::vector<std::unique_ptr<TcpConnection>>> accepted =
-      AcceptSiteConnections(&listener.value(), /*num_sites=*/1,
-                            TcpConnection::Options());
-  ASSERT_TRUE(accepted.ok()) << accepted.status();
-  TcpConnection* connection = (*accepted)[0].get();
-  EXPECT_EQ(connection->negotiated_version(), 4);
-  EXPECT_EQ(connection->peer_caps(), 0u);
-
+  ReactorCoordinator coordinator(1, NoLivenessOptions());
+  const Status accepted = coordinator.AcceptSites(&listener.value());
+  ASSERT_TRUE(accepted.ok()) << accepted;
   EventBatch batch;
   batch.num_events = 4096;
   batch.values.assign(4096, 7);  // Maximally compressible — must ship raw.
-  ASSERT_TRUE(connection->SendFrame(MakeFrame(std::move(batch))));
+  ASSERT_TRUE(coordinator.events(0)->Push(std::move(batch)));
   v4_site.join();
   EXPECT_TRUE(got_raw_batch.load(std::memory_order_relaxed));
   listener->Close();
-  for (auto& c : *accepted) c->Shutdown();
+  coordinator.Shutdown();
 }
 
 TEST(WireCompressionTest, V5PeersCompressEligibleBatchesEndToEnd) {
-  // Both ends of a LocalTcp transport speak v5 with the process-wide switch
+  // Both ends of the kLocalTcp wiring speak v5 with the process-wide switch
   // on (the default), so a repetitive batch must cross the wire inside an
   // envelope — visible through the net.compress instruments — and decode to
   // the identical batch on the far side.
   MetricsRegistry::Global().ResetForTest();
   ASSERT_TRUE(WireCompressionEnabled());
-  auto transport = MakeLocalTcpTransport(1);
+  auto transport = MakeSiteRoleTransport(1);
   EventBatch batch;
   batch.num_events = 2048;
   batch.values.assign(8192, 3);
