@@ -9,10 +9,10 @@
 // varint-coded wire — about 3x, which also scales the fig6/fig11 byte
 // reproductions.
 //
-// The TCP rows additionally sweep negotiated wire compression (protocol
-// v5, --compression): each point runs once with the capability disabled
-// (the v4 wire) and once with it on, reporting the realized byte reduction
-// and its throughput cost. Compression targets the event stream (EventBatch
+// The TCP rows additionally sweep negotiated wire compression
+// (--compression): each point runs once with the capability disabled
+// (every frame raw) and once with it on, reporting the realized byte
+// reduction and its throughput cost. Compression targets the event stream (EventBatch
 // frames) plus final-count bundles — kReports/kSync bundles ride the
 // latency path raw — so the headline ratio is measured on the downstream
 // (coordinator->site) direction the codec actually compresses; the total
@@ -38,7 +38,7 @@ StatusOr<RunReport> RunOnce(const BayesianNetwork& net, TrackingStrategy strateg
                             int sites, int64_t events, double eps, uint64_t seed,
                             bool tcp, bool compression) {
   // Process-global switch: flip for the duration of this run only. Off
-  // reproduces the v4 wire exactly (the capability is never advertised).
+  // ships every frame raw (the capability is never advertised).
   SetWireCompressionEnabled(compression);
   SessionBuilder builder(net);
   builder.WithBackend(Backend::kThreads)
@@ -68,9 +68,9 @@ int Main(int argc, char** argv) {
   flags.DefineString("network", "alarm", "network to stream");
   flags.DefineString("site-counts", "2,4,8", "cluster sizes to sweep");
   flags.DefineBool("compression", true,
-                   "also run each TCP point with negotiated v5 wire "
+                   "also run each TCP point with negotiated wire "
                    "compression and report the byte reduction + throughput "
-                   "cost (off: v4 wire only)");
+                   "cost (off: raw frames only)");
   flags.DefineBool("assert-compression", false,
                    "exit 1 unless, summed over the whole TCP sweep, "
                    "compression cuts event-stream (downstream) wire bytes "
@@ -99,7 +99,7 @@ int Main(int argc, char** argv) {
   table.SetHeader({"sites", "algorithm", "loopback events/s", "tcp events/s",
                    "tcp/loopback", "tcp MiB up", "tcp MiB down", "est/wire"});
   TablePrinter compression_table(
-      "Wire compression (protocol v5): raw vs negotiated-LZ TCP bytes");
+      "Wire compression: raw vs negotiated-LZ TCP bytes");
   compression_table.SetHeader({"sites", "algorithm", "raw MiB", "LZ MiB",
                                "stream ratio", "total ratio", "raw events/s",
                                "LZ events/s", "throughput"});

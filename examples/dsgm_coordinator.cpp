@@ -42,12 +42,6 @@ int main(int argc, char** argv) {
   flags.DefineInt64("heartbeat-ms", 500,
                     "heartbeat cadence for in-process sites (ignored with external "
                     "dsgm_site processes, which set their own --heartbeat-ms)");
-  flags.DefineString("io-backend", "default",
-                     "readiness backend for the coordinator's event loops: "
-                     "epoll | io_uring | auto (io_uring when the kernel "
-                     "supports it, else epoll). 'default' honors the "
-                     "DSGM_IO_BACKEND environment variable, falling back to "
-                     "epoll");
   flags.DefineDouble("max-rel-error", -1.0,
                      "fail (exit 1) if the max counter relative error exceeds this; "
                      "negative disables the gate");
@@ -84,14 +78,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  IoBackendKind io_backend = IoBackendKind::kDefault;
-  if (flags.GetString("io-backend") != "default" &&
-      !ParseIoBackendKind(flags.GetString("io-backend"), &io_backend)) {
-    std::cerr << "unknown --io-backend '" << flags.GetString("io-backend")
-              << "' (want epoll | io_uring | auto | default)\n";
-    return 1;
-  }
-
   const int port = static_cast<int>(flags.GetInt64("port"));
   std::cout << "dsgm_coordinator: waiting for " << flags.GetInt64("sites")
             << " site(s) on port " << (port == 0 ? "<ephemeral>" : std::to_string(port))
@@ -124,7 +110,6 @@ int main(int argc, char** argv) {
           .WithBindAddress(flags.GetString("bind"))
           .WithLivenessTimeout(static_cast<int>(flags.GetInt64("liveness-timeout-ms")))
           .WithHeartbeatInterval(static_cast<int>(flags.GetInt64("heartbeat-ms")))
-          .WithIoBackend(io_backend)
           .WithMetricsDump(static_cast<int>(flags.GetInt64("metrics-dump-ms")),
                            dump_file ? dump_file.get() : nullptr)
           .WithTraceExport(flags.GetString("trace-out"))

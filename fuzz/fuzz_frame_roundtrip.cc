@@ -69,7 +69,7 @@ Frame BuildArbitraryValidFrame(ByteStream* stream) {
       return hello;
     }
     case 5: {
-      // v4 heartbeats carry three clock samples; arbitrary int64 values
+      // Heartbeats carry three clock samples; arbitrary int64 values
       // (including the zeros of the "no echo yet" state) must round-trip.
       HeartbeatTimestamps hb;
       hb.send_nanos = stream->NextI64();

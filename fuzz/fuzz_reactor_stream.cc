@@ -6,9 +6,8 @@
 // not a model of it. fuzz_protocol_stream checks the spec table; this one
 // checks the transport that consults it, with the sanitizers watching.
 //
-// Input format: byte 0 picks the receive direction (bit 0), the negotiated
-// wire version (bit 1: v4 vs v5 — v5-only traffic at v4 must be a
-// violation, never a crash) and the chunk phase; the rest is the stream.
+// Input format: byte 0 picks the receive direction (bit 0) and the chunk
+// phase; the rest is the stream.
 //
 // The oracle is memory safety plus clean teardown. Liveness is a backstop
 // deadline only: popping the inboxes frees space, which resumes a paused
@@ -24,7 +23,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "net/codec.h"
 #include "net/protocol_spec.h"
 #include "net/reactor.h"
 #include "net/reactor_transport.h"
@@ -44,7 +42,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   options.receive_direction = (data[0] & 1)
                                   ? ProtocolDirection::kCoordinatorToSite
                                   : ProtocolDirection::kSiteToCoordinator;
-  options.negotiated_version = (data[0] & 2) ? uint8_t{4} : kProtocolVersion;
   options.on_read_end = [&read_end] {
     read_end.store(true, std::memory_order_release);
   };

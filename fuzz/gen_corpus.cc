@@ -176,8 +176,8 @@ void GenProtocolStream(const fs::path& dir) {
   RoundAdvance advance;
 
   // Legal site->coordinator life cycle. Payload site ids must match the
-  // hello's: since v4 the conformance machine binds the connection to its
-  // hello id and rejects forged kStatsReport/kTraceChunk claims.
+  // hello's: the conformance machine binds the connection to its hello id
+  // and rejects forged kStatsReport/kTraceChunk claims.
   SiteStatsReport stats;
   stats.site = 0;
   TraceChunk trace;
@@ -220,10 +220,9 @@ void GenProtocolStream(const fs::path& dir) {
   // Version-mismatched hello.
   {
     Frame old_hello = MakeHello(0);
-    old_hello.protocol_version = 1;
-    std::vector<uint8_t> bytes =
-        stream(0, {old_hello, MakeHeartbeat(0)});
-    WriteSeed(dir, "viol-version-v1-heartbeat.bin", bytes);
+    old_hello.protocol_version = kProtocolVersion - 1;
+    WriteSeed(dir, "viol-version-mismatch.bin",
+              stream(0, {old_hello, MakeHeartbeat(0)}));
   }
   // Malformed wire bytes after a legal prefix.
   {
@@ -327,8 +326,7 @@ void GenCompressDecode(const fs::path& dir) {
 }
 
 void GenReactorStream(const fs::path& dir) {
-  // Byte 0: bit 0 = receive direction, bit 1 = negotiated version (set =
-  // v4); the rest is the wire stream. The connection arrives hello-paired
+  // Byte 0: bit 0 = receive direction; the rest is the wire stream. The connection arrives hello-paired
   // (conformance starts kActive), so streams begin with data frames.
   const auto stream = [](uint8_t head, const std::vector<Frame>& frames) {
     std::vector<uint8_t> bytes = {head};
@@ -357,7 +355,7 @@ void GenReactorStream(const fs::path& dir) {
             stream(1, {MakeFrame(batch), MakeFrame(advance),
                        MakeChannelClose(FrameType::kEventBatch),
                        MakeChannelClose(FrameType::kRoundAdvance)}));
-  // A compressed envelope mid-stream (v5): a big compressible batch that
+  // A compressed envelope mid-stream: a big compressible batch that
   // AppendFrameMaybeCompressed provably wraps, between raw frames.
   {
     EventBatch big;
@@ -367,10 +365,18 @@ void GenReactorStream(const fs::path& dir) {
     AppendFrameMaybeCompressed(MakeFrame(std::move(big)), &bytes);
     AppendFrame(MakeFrame(advance), &bytes);
     WriteSeed(dir, "legal-c2s-compressed.bin", bytes);
-    // The same stream at a v4-negotiated connection: the envelope is now a
-    // model-checked violation the reactor must turn into a clean drop.
-    bytes[0] = 3;
-    WriteSeed(dir, "viol-compressed-at-v4.bin", bytes);
+    // A wrapped final-count bundle after the site closed its update lane:
+    // data past the terminal close is a model-checked violation, wrapped
+    // or not, and the reactor must turn it into a clean drop.
+    UpdateBundle finals;
+    finals.site = 0;
+    finals.kind = UpdateBundle::Kind::kFinalCounts;
+    for (int64_t c = 0; c < 512; ++c) {
+      finals.reports.push_back(CounterReport{c, 1});
+    }
+    bytes = stream(0, {MakeChannelClose(FrameType::kUpdateBundle)});
+    AppendFrameMaybeCompressed(MakeFrame(std::move(finals)), &bytes);
+    WriteSeed(dir, "viol-compressed-after-close.bin", bytes);
   }
   // Direction violation: a coordinator-only frame on the s2c half.
   WriteSeed(dir, "viol-wrong-direction.bin", stream(0, {MakeFrame(advance)}));

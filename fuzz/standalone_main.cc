@@ -153,9 +153,10 @@ int main(int argc, char** argv) {
   if (runs < 0 && max_total_time < 0) return 0;
   if (runs < 0) runs = INT64_MAX;
   const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::seconds(max_total_time < 0 ? INT64_MAX / 2
-                                              : max_total_time);
+      max_total_time < 0
+          ? std::chrono::steady_clock::time_point::max()
+          : std::chrono::steady_clock::now() +
+                std::chrono::seconds(max_total_time);
   dsgm::Rng rng(seed);
   std::vector<uint8_t> input;
   int64_t executed = 0;

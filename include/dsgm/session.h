@@ -279,10 +279,6 @@ struct SessionOptions {
   bool external_sites = false;
   /// kLocalTcp internal sites: how long each site retries its connect.
   int site_connect_timeout_ms = 10000;
-  /// kLocalTcp only: the reactor's readiness backend (net/io_backend.h).
-  /// kDefault honors the DSGM_IO_BACKEND environment variable; kIoUring and
-  /// kAuto fall back to epoll when the kernel refuses rings.
-  IoBackendKind io_backend = IoBackendKind::kDefault;
   /// kLocalTcp only: per-site liveness deadline, enforced by the
   /// coordinator's reactor I/O thread. A site that sends no traffic (not
   /// even a kHeartbeat) for this long — or whose connection drops mid-run —
@@ -344,10 +340,6 @@ class SessionBuilder {
   SessionBuilder& WithBindAddress(std::string address);
   SessionBuilder& WithExternalSites();
   SessionBuilder& WithSiteConnectTimeout(int timeout_ms);
-  /// Reactor readiness backend for kLocalTcp (the --io-backend flag of the
-  /// cluster binaries). io_uring requests fall back to epoll when the
-  /// kernel refuses; see SessionOptions::io_backend.
-  SessionBuilder& WithIoBackend(IoBackendKind io_backend);
   /// 0 disables per-site liveness; see SessionOptions::liveness_timeout_ms.
   SessionBuilder& WithLivenessTimeout(int timeout_ms);
   SessionBuilder& WithHeartbeatInterval(int interval_ms);

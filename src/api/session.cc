@@ -557,10 +557,6 @@ SessionBuilder& SessionBuilder::WithSiteConnectTimeout(int timeout_ms) {
   options_.site_connect_timeout_ms = timeout_ms;
   return *this;
 }
-SessionBuilder& SessionBuilder::WithIoBackend(IoBackendKind io_backend) {
-  options_.io_backend = io_backend;
-  return *this;
-}
 SessionBuilder& SessionBuilder::WithLivenessTimeout(int timeout_ms) {
   options_.liveness_timeout_ms = timeout_ms;
   return *this;

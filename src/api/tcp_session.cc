@@ -88,7 +88,6 @@ class LocalTcpSession final : public ClusterSessionBase {
     }
 
     ReactorCoordinator::Options io_options;
-    io_options.io_backend = options_.io_backend;
     io_options.liveness_timeout_ms = options_.liveness_timeout_ms;
     io_options.health = &health_board_;
     io_options.trace_board = trace_board_.get();

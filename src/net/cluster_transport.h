@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "net/channel.h"
-#include "net/io_backend.h"
 #include "net/wire.h"
 
 namespace dsgm {
@@ -83,12 +82,6 @@ std::unique_ptr<ClusterTransport> MakeLoopbackTransport(int num_sites);
 /// DSGM_CHECK if localhost sockets are unavailable (an environment
 /// problem, not a recoverable input).
 std::unique_ptr<ClusterTransport> MakeReactorTransport(int num_sites);
-
-/// Same, with an explicit readiness backend for both reactor threads
-/// (io_uring requests fall back to epoll when the kernel refuses; see
-/// net/io_backend.h).
-std::unique_ptr<ClusterTransport> MakeReactorTransport(int num_sites,
-                                                       IoBackendKind io_backend);
 
 }  // namespace dsgm
 

@@ -364,9 +364,7 @@ void AppendFrame(const Frame& frame, std::vector<uint8_t>* out) {
     case FrameType::kHello:
       out->push_back(frame.protocol_version);
       AppendZigzag(frame.site, out);
-      // The caps varint exists since v5; older (or forged-older) hellos
-      // must stay byte-identical to what a real old peer would send.
-      if (frame.protocol_version >= 5) AppendVarint(frame.caps, out);
+      AppendVarint(frame.caps, out);
       break;
     case FrameType::kHeartbeat:
       AppendZigzag(frame.site, out);
@@ -433,12 +431,11 @@ Status DecodeFramePayload(const uint8_t* data, size_t size, Frame* out) {
         return InvalidArgumentError("codec: hello site out of range");
       }
       out->site = static_cast<int32_t>(site);
-      // v5+ hellos carry a caps varint; tolerate its absence (caps = none)
-      // so a minimal v5 hello decodes, but never read it from older hellos
-      // — their byte layout is frozen and the trailing-bytes check below
-      // keeps rejecting any extra.
+      // Tolerate a missing caps varint (caps = none): an older peer's hello
+      // has none, and must still decode so the conformance layer can report
+      // its version mismatch instead of a decode error.
       out->caps = 0;
-      if (out->protocol_version >= 5 && !reader.done()) {
+      if (!reader.done()) {
         DSGM_RETURN_IF_ERROR(reader.ReadVarint(&out->caps));
       }
       break;

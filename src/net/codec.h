@@ -34,12 +34,12 @@ enum class FrameType : uint8_t {
   kEventBatch = 3,    // dispatcher -> site
   kChannelClose = 4,  // transport control: sender closed one logical channel
   kHello = 5,         // transport control: connection announces its site id
-  kHeartbeat = 6,     // transport control: liveness beacon; v4 adds clock
-                      // samples and a coordinator -> site echo leg
+  kHeartbeat = 6,     // transport control: liveness beacon with clock
+                      // samples; the coordinator echoes it back to the site
   kStatsReport = 7,   // observability: per-site stats piggybacked on heartbeats
   kTraceChunk = 8,    // observability: incremental TraceRing drain (site ->
                       // coordinator), piggybacked on the heartbeat cadence
-  kCompressed = 9,    // v5 envelope: varint declared raw size + LZ block that
+  kCompressed = 9,    // envelope: varint declared raw size + LZ block that
                       // decompresses to another frame's payload. Exists only
                       // on the wire — DecodeFramePayload unwraps it (setting
                       // Frame::compressed), so application code never sees
@@ -47,25 +47,12 @@ enum class FrameType : uint8_t {
 };
 
 /// Wire protocol revision, carried in every kHello frame ahead of the site
-/// id. Bump on any frame-format change; the accepting side rejects a
-/// mismatched hello with a clear Status instead of misparsing later frames.
-/// History: 1 = varint codec with versioned hello (2026-07);
-///          2 = kHeartbeat liveness frames (2026-07);
-///          3 = kStatsReport observability frames (2026-08);
-///          4 = kTraceChunk trace shipping + heartbeat clock samples and
-///              coordinator echoes (2026-08);
-///          5 = capability hellos (trailing caps varint) + negotiated
-///              kCompressed batch envelopes (2026-08).
+/// id. It is the only version either end speaks: bump it on any
+/// frame-format change. The accepting side rejects a hello for any other
+/// version with a clear Status instead of misparsing later frames.
 constexpr uint8_t kProtocolVersion = 5;
 
-/// The oldest peer revision a hello may negotiate down to. v4 and v5 frame
-/// bodies are wire-compatible (v5 only ADDS the caps varint and the
-/// kCompressed envelope, both gated on the negotiated version), so a v5
-/// endpoint accepts a v4 hello and runs the connection at v4 — uncompressed,
-/// caps-less. Anything older changed frame bodies and is still a mismatch.
-constexpr uint8_t kMinNegotiableVersion = 4;
-
-/// kHello capability bits (v5+, carried in the trailing caps varint).
+/// kHello capability bits (carried in the trailing caps varint).
 constexpr uint64_t kCapCompression = 1;
 
 /// Tagged union of everything a connection can carry. Only the member
@@ -86,21 +73,20 @@ struct Frame {
   /// the forger's own connection being alive.
   int32_t site = -1;
   uint8_t protocol_version = kProtocolVersion;
-  /// kHello (v5+): capability bits (kCapCompression). v4 hellos decode with
-  /// caps == 0; encoders emit the caps varint only when protocol_version
-  /// >= 5 so a forged-v4 hello round-trips byte-identically.
+  /// kHello: capability bits (kCapCompression). Always encoded; a hello
+  /// without the caps varint decodes with caps == 0.
   uint64_t caps = 0;
   /// Set by the decoder when this frame arrived inside a kCompressed
-  /// envelope. The conformance layer uses it to reject compressed traffic
-  /// on connections that negotiated v4 (protocol_spec.h kInCompressed).
+  /// envelope. The conformance layer checks the envelope's own rule
+  /// (protocol_spec.h kInCompressed) before the inner frame's.
   bool compressed = false;
   /// kStatsReport: the sender's cumulative stats. Like heartbeats, the
   /// embedded site id is a claim — receivers must check it against the
   /// connection's authenticated id and drop mismatches before letting it
   /// index the health table.
   SiteStatsReport stats;
-  /// kHeartbeat: the v4 clock samples for skew estimation (net/wire.h).
-  /// Zeros on the legacy make-path and before the first echo round-trip.
+  /// kHeartbeat: the clock samples for skew estimation (net/wire.h).
+  /// Zeros before the first echo round-trip.
   HeartbeatTimestamps hb;
   /// kTraceChunk: the shipped trace events. The embedded site id is a
   /// claim, checked against the connection's hello id like stats reports.
@@ -136,7 +122,7 @@ constexpr uint32_t DecodeLengthPrefix(const uint8_t* data) {
 /// Appends the length prefix plus encoded payload of `frame` to `out`.
 void AppendFrame(const Frame& frame, std::vector<uint8_t>* out);
 
-/// True for the frame kinds the v5 compression envelope may carry: event
+/// True for the frame kinds the compression envelope may carry: event
 /// batches and final-count bundles — the bulk-data frames whose varint
 /// payloads still tile repetitively. Control and liveness frames stay raw.
 bool CompressionEligible(const Frame& frame);

@@ -1,4 +1,4 @@
-// In-tree LZ byte codec for negotiated wire compression (protocol v5).
+// In-tree LZ byte codec for negotiated wire compression.
 //
 // Low-cardinality event batches and final-count bundles are varint-packed
 // but still carry highly repetitive residual structure (the same few small

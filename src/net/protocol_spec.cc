@@ -9,15 +9,12 @@ namespace dsgm {
 namespace {
 
 // One allow-list row of the protocol spec. The table below is THE protocol:
-// every (state, direction, input, version) combination not covered by a row
-// is a violation. `min_version` encodes the version gates — a row applies to
-// every version from max(min_version, kMinProtocolVersion) through
-// kProtocolVersion.
+// every (state, direction, input) combination not covered by a row is a
+// violation.
 struct AllowRow {
   ProtocolState state;
   ProtocolDirection direction;
   WireInput input;
-  uint8_t min_version;
   ProtocolState next;
 };
 
@@ -27,127 +24,108 @@ constexpr ProtocolDirection kC2S = ProtocolDirection::kCoordinatorToSite;
 constexpr AllowRow kAllowedTransitions[] = {
     // --- coordinator receiving from a site -------------------------------
     // Handshake: exactly one hello, before anything else.
-    {ProtocolState::kAwaitingHello, kS2C, WireInput::kInHello, 1,
+    {ProtocolState::kAwaitingHello, kS2C, WireInput::kInHello,
      ProtocolState::kActive},
     // The update lane: bundles flow until the site closes it. Closing the
     // update lane is the site's terminal act — its data is done, only
     // liveness traffic may follow.
-    {ProtocolState::kActive, kS2C, WireInput::kInUpdateBundle, 1,
+    {ProtocolState::kActive, kS2C, WireInput::kInUpdateBundle,
      ProtocolState::kActive},
-    {ProtocolState::kActive, kS2C, WireInput::kInCloseUpdates, 1,
+    {ProtocolState::kActive, kS2C, WireInput::kInCloseUpdates,
      ProtocolState::kDraining},
-    // Liveness traffic, by protocol revision: heartbeats exist since v2 and
-    // may linger through Draining (the site waits for the coordinator's
-    // hangup); stats reports exist since v3 and are data — data after the
-    // update-lane close is a violation.
-    {ProtocolState::kActive, kS2C, WireInput::kInHeartbeat, 2,
+    // Liveness traffic: heartbeats may linger through Draining (the site
+    // waits for the coordinator's hangup); stats reports and trace chunks
+    // are data — data after the update-lane close is a violation.
+    {ProtocolState::kActive, kS2C, WireInput::kInHeartbeat,
      ProtocolState::kActive},
-    {ProtocolState::kDraining, kS2C, WireInput::kInHeartbeat, 2,
+    {ProtocolState::kDraining, kS2C, WireInput::kInHeartbeat,
      ProtocolState::kDraining},
-    {ProtocolState::kActive, kS2C, WireInput::kInStatsReport, 3,
+    {ProtocolState::kActive, kS2C, WireInput::kInStatsReport,
      ProtocolState::kActive},
-    // Trace chunks exist since v4 and, like stats reports, are data: legal
-    // only while the update lane is open.
-    {ProtocolState::kActive, kS2C, WireInput::kInTraceChunk, 4,
+    {ProtocolState::kActive, kS2C, WireInput::kInTraceChunk,
      ProtocolState::kActive},
-    // The v5 compression envelope is a carrier, not a message: it may wrap
+    // The compression envelope is a carrier, not a message: it may wrap
     // data frames wherever they are legal, so its rows mirror the states
     // where a compressible frame could arrive. S2C that is kActive only
     // (final-count bundles precede the update-lane close); data after the
     // close stays a violation, wrapped or not.
-    {ProtocolState::kActive, kS2C, WireInput::kInCompressed, 5,
+    {ProtocolState::kActive, kS2C, WireInput::kInCompressed,
      ProtocolState::kActive},
 
     // --- site receiving from the coordinator -----------------------------
-    {ProtocolState::kAwaitingHello, kC2S, WireInput::kInHello, 1,
+    {ProtocolState::kAwaitingHello, kC2S, WireInput::kInHello,
      ProtocolState::kActive},
-    {ProtocolState::kActive, kC2S, WireInput::kInEventBatch, 1,
+    {ProtocolState::kActive, kC2S, WireInput::kInEventBatch,
      ProtocolState::kActive},
-    {ProtocolState::kActive, kC2S, WireInput::kInRoundAdvance, 1,
+    {ProtocolState::kActive, kC2S, WireInput::kInRoundAdvance,
      ProtocolState::kActive},
     // The coordinator owns two lanes with independent lifetimes: the event
     // dispatcher can finish (close events) while round commands continue,
     // and on abort the command lane can close first while event stragglers
     // are still in flight. Closing the command lane is the terminal act.
-    {ProtocolState::kActive, kC2S, WireInput::kInCloseEvents, 1,
+    {ProtocolState::kActive, kC2S, WireInput::kInCloseEvents,
      ProtocolState::kActive},
-    {ProtocolState::kActive, kC2S, WireInput::kInCloseCommands, 1,
+    {ProtocolState::kActive, kC2S, WireInput::kInCloseCommands,
      ProtocolState::kDraining},
-    {ProtocolState::kDraining, kC2S, WireInput::kInEventBatch, 1,
+    {ProtocolState::kDraining, kC2S, WireInput::kInEventBatch,
      ProtocolState::kDraining},
-    {ProtocolState::kDraining, kC2S, WireInput::kInCloseEvents, 1,
+    {ProtocolState::kDraining, kC2S, WireInput::kInCloseEvents,
      ProtocolState::kDraining},
-    // Heartbeat echoes exist since v4: the coordinator reflects each site
-    // heartbeat so the site can close the NTP timestamp loop. They follow
-    // the site's heartbeats, so they may arrive any time after the
-    // handshake — including while the coordinator's command lane is closed.
-    {ProtocolState::kActive, kC2S, WireInput::kInHeartbeat, 4,
+    // Heartbeat echoes: the coordinator reflects each site heartbeat so the
+    // site can close the NTP timestamp loop. They follow the site's
+    // heartbeats, so they may arrive any time after the handshake —
+    // including while the coordinator's command lane is closed.
+    {ProtocolState::kActive, kC2S, WireInput::kInHeartbeat,
      ProtocolState::kActive},
-    {ProtocolState::kDraining, kC2S, WireInput::kInHeartbeat, 4,
+    {ProtocolState::kDraining, kC2S, WireInput::kInHeartbeat,
      ProtocolState::kDraining},
-    // v5 capability reply-hello: the coordinator answers a v5 site hello
-    // with a hello of its own so the site learns the coordinator's caps
-    // (the original handshake is site->coordinator only). It arrives after
-    // the site armed its machine via OnHelloSent, hence in kActive; it is
-    // state-preserving and idempotent. v4 coordinators never send one, and
-    // on a v4-negotiated connection the row does not apply — a late hello
-    // stays a violation there.
-    {ProtocolState::kActive, kC2S, WireInput::kInHello, 5,
+    // Capability reply-hello: the coordinator answers a site hello with a
+    // hello of its own so the site learns the coordinator's caps (the
+    // original handshake is site->coordinator only). It arrives after the
+    // site armed its machine via OnHelloSent, hence in kActive; it is
+    // state-preserving and idempotent.
+    {ProtocolState::kActive, kC2S, WireInput::kInHello,
      ProtocolState::kActive},
     // Compressed envelopes C2S wrap event batches, which stay legal as
     // stragglers through Draining.
-    {ProtocolState::kActive, kC2S, WireInput::kInCompressed, 5,
+    {ProtocolState::kActive, kC2S, WireInput::kInCompressed,
      ProtocolState::kActive},
-    {ProtocolState::kDraining, kC2S, WireInput::kInCompressed, 5,
+    {ProtocolState::kDraining, kC2S, WireInput::kInCompressed,
      ProtocolState::kDraining},
 };
 
 // Dense verdict table, built once from the allow rows.
-//   index = ((state * kNumProtocolDirections + direction) * kNumWireInputs
-//            + input) * kNumProtocolVersions + (version - kMin)
+//   index = (state * kNumProtocolDirections + direction) * kNumWireInputs
+//           + input
 struct ProtocolTable {
-  std::array<FrameRule, kNumProtocolStates * kNumProtocolDirections *
-                            kNumWireInputs * kNumProtocolVersions>
+  std::array<FrameRule,
+             kNumProtocolStates * kNumProtocolDirections * kNumWireInputs>
       rules;  // default FrameRule{} = {kViolation, kClosed}
 
   static constexpr size_t IndexOf(ProtocolState state,
-                                  ProtocolDirection direction, WireInput input,
-                                  uint8_t version) {
-    return ((static_cast<size_t>(state) * kNumProtocolDirections +
-             static_cast<size_t>(direction)) *
-                kNumWireInputs +
-            static_cast<size_t>(input)) *
-               kNumProtocolVersions +
-           (version - kMinProtocolVersion);
+                                  ProtocolDirection direction,
+                                  WireInput input) {
+    return (static_cast<size_t>(state) * kNumProtocolDirections +
+            static_cast<size_t>(direction)) *
+               kNumWireInputs +
+           static_cast<size_t>(input);
   }
 
   constexpr ProtocolTable() : rules() {
     for (const AllowRow& row : kAllowedTransitions) {
-      uint8_t first = row.min_version < kMinProtocolVersion
-                          ? kMinProtocolVersion
-                          : row.min_version;
-      for (uint8_t v = first; v <= kProtocolVersion; ++v) {
-        rules[IndexOf(row.state, row.direction, row.input, v)] =
-            FrameRule{ProtocolVerdict::kAccept, row.next};
-      }
+      rules[IndexOf(row.state, row.direction, row.input)] =
+          FrameRule{ProtocolVerdict::kAccept, row.next};
     }
   }
 };
 
 constexpr ProtocolTable kProtocolTable{};
 
-// The rule every out-of-table lookup resolves to.
-constexpr FrameRule kViolationRule{};
-
 }  // namespace
 
 const FrameRule& LookupRule(ProtocolState state, ProtocolDirection direction,
-                            WireInput input, uint8_t version) {
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
-    return kViolationRule;
-  }
-  return kProtocolTable
-      .rules[ProtocolTable::IndexOf(state, direction, input, version)];
+                            WireInput input) {
+  return kProtocolTable.rules[ProtocolTable::IndexOf(state, direction, input)];
 }
 
 WireInput WireInputOf(const Frame& frame) {
@@ -243,23 +221,11 @@ const char* WireInputName(WireInput input) {
 }
 
 ProtocolConformance::ProtocolConformance(ProtocolDirection direction,
-                                         uint8_t version,
                                          ProtocolState initial)
     : direction_(direction),
-      version_(version),
-      negotiated_version_(version),
       state_(initial),
       violations_metric_(
           MetricsRegistry::Global().GetCounter(kProtocolViolationsMetric)) {}
-
-bool ProtocolConformance::VersionAcceptable(uint8_t peer_version) const {
-  // Exactly ours, or anything we can negotiate down to. The down-range
-  // opens only when WE are past kMinNegotiableVersion: an endpoint pinned
-  // to an old version (tests, forced downgrades) still demands an exact
-  // match, like that old build would.
-  return peer_version == version_ ||
-         (peer_version >= kMinNegotiableVersion && peer_version < version_);
-}
 
 ProtocolVerdict ProtocolConformance::CountViolation(ProtocolVerdict verdict) {
   ++violations_;
@@ -270,38 +236,29 @@ ProtocolVerdict ProtocolConformance::CountViolation(ProtocolVerdict verdict) {
 
 ProtocolVerdict ProtocolConformance::OnFrame(const Frame& frame) {
   const WireInput input = WireInputOf(frame);
-  // A hello carries the peer's protocol version; when it arrives where a
-  // hello is legal but the version is not one we can run, report the
-  // mismatch distinctly so transports can surface a deployment error
-  // instead of a generic drop. (Everywhere else a hello is just an
-  // out-of-state frame.)
-  if (input == WireInput::kInHello && state_ == ProtocolState::kAwaitingHello &&
-      !VersionAcceptable(frame.protocol_version)) {
-    return CountViolation(ProtocolVerdict::kVersionMismatch);
-  }
   // A frame that arrived inside a compression envelope must pass the
-  // envelope's own rule first: kInCompressed exists only at v5+, so a peer
-  // that negotiated (or was accepted at) v4 violates here — the
-  // model-checked "forged compressed flag" case.
+  // envelope's own rule first, so wrapped data is legal only where the
+  // table allows the envelope.
   if (frame.compressed) {
-    const FrameRule& wrap = LookupRule(state_, direction_,
-                                       WireInput::kInCompressed,
-                                       negotiated_version_);
+    const FrameRule& wrap =
+        LookupRule(state_, direction_, WireInput::kInCompressed);
     if (wrap.verdict != ProtocolVerdict::kAccept) {
       return CountViolation(ProtocolVerdict::kViolation);
     }
   }
-  const FrameRule& rule =
-      LookupRule(state_, direction_, input, negotiated_version_);
+  const FrameRule& rule = LookupRule(state_, direction_, input);
   if (rule.verdict != ProtocolVerdict::kAccept) {
     return CountViolation(ProtocolVerdict::kViolation);
   }
-  // The v5 capability reply-hello (accepted in kActive by the table) still
-  // must claim a version we can run; the table's version axis is OUR
-  // negotiated version, not the frame's claim.
+  // A hello the table allows must still claim our version. A first hello
+  // that does not is reported as a mismatch, so transports can surface a
+  // deployment error instead of a generic drop; a capability reply-hello
+  // that does not is an ordinary violation.
   if (input == WireInput::kInHello &&
-      !VersionAcceptable(frame.protocol_version)) {
-    return CountViolation(ProtocolVerdict::kViolation);
+      frame.protocol_version != kProtocolVersion) {
+    return CountViolation(state_ == ProtocolState::kAwaitingHello
+                              ? ProtocolVerdict::kVersionMismatch
+                              : ProtocolVerdict::kViolation);
   }
   // Payload semantics: observability frames embed a site-id claim that must
   // match the connection's authenticated (hello) id. A mismatch is forged
@@ -316,9 +273,6 @@ ProtocolVerdict ProtocolConformance::OnFrame(const Frame& frame) {
   }
   if (input == WireInput::kInHello) {
     if (state_ == ProtocolState::kAwaitingHello) bound_site_ = frame.site;
-    negotiated_version_ = frame.protocol_version < version_
-                              ? frame.protocol_version
-                              : version_;
     peer_caps_ = frame.caps;
   }
   state_ = rule.next;
@@ -339,7 +293,7 @@ void ProtocolConformance::MarkClosed() { state_ = ProtocolState::kClosed; }
 
 ProtocolStreamChecker::ProtocolStreamChecker(ProtocolDirection direction,
                                              ProtocolState initial)
-    : conformance_(direction, kProtocolVersion, initial) {}
+    : conformance_(direction, initial) {}
 
 Status ProtocolStreamChecker::Append(const uint8_t* data, size_t size) {
   if (!error_.ok()) return error_;

@@ -4,26 +4,25 @@
 // implicitly — a stray check in an accept loop here, an "ignore defensively"
 // switch arm there. This header makes the contract explicit and machine
 // checkable: a connection is in one of four states, every decodable frame is
-// one of eleven wire inputs, and a dense (state × direction × input × version)
-// table assigns each combination a verdict. Anything the table does not
+// one of eleven wire inputs, and a dense (state × direction × input) table
+// assigns each combination a verdict. Anything the table does not
 // explicitly allow is a violation — the table is built allow-list-first, so
 // a new frame kind is rejected everywhere until the spec says otherwise.
 //
 // The two directions are the two receive machines of one connection:
 //
 //   kSiteToCoordinator   what a coordinator accepts FROM a site
-//       hello first; then update bundles, heartbeats (v>=2), stats reports
-//       (v>=3) and trace chunks (v>=4); the site may close its update lane
+//       hello first; then update bundles, heartbeats, stats reports and
+//       trace chunks; the site may close its update lane
 //       (-> Draining), after which only heartbeats are legal while it
 //       lingers for the coordinator's hangup. Sites never send events,
 //       commands, or closes for lanes they do not own.
 //
 //   kCoordinatorToSite   what a site accepts FROM the coordinator
 //       hello first; then event batches and round-advance commands, plus
-//       heartbeat echoes since v4 (the coordinator reflects each site
-//       heartbeat so the site can close the NTP timestamp loop) and, since
-//       v5, one state-preserving capability reply-hello and compressed
-//       event-batch envelopes on connections that negotiated v5. The
+//       heartbeat echoes (the coordinator reflects each site heartbeat so
+//       the site can close the NTP timestamp loop), one state-preserving
+//       capability reply-hello, and compressed event-batch envelopes. The
 //       event lane may close while commands continue (dispatcher finishes
 //       before the protocol loop); closing the command lane is the
 //       coordinator's final word (-> Draining), after which only straggler
@@ -34,7 +33,7 @@
 // counted on the process-wide `net.protocol.violations` counter, and makes
 // the transport drop the connection. tests/protocol_spec_test.cc
 // model-checks the table by exhaustive enumeration: totality, hello before
-// anything, nothing after close, version gates, reachability.
+// anything, nothing after close, directional ownership, reachability.
 
 #ifndef DSGM_NET_PROTOCOL_SPEC_H_
 #define DSGM_NET_PROTOCOL_SPEC_H_
@@ -86,12 +85,10 @@ enum class WireInput : uint8_t {
   kInHeartbeat = 7,
   kInStatsReport = 8,
   kInTraceChunk = 9,
-  /// The v5 compression envelope AS AN ENVELOPE: a frame whose bytes
-  /// arrived wrapped (Frame::compressed) is checked against this input
-  /// first — legal only on connections that negotiated v5 — and then
-  /// against its inner input as usual. A v4-negotiated peer sending a
-  /// wrapped frame therefore violates here, before the inner frame is even
-  /// considered.
+  /// The compression envelope AS AN ENVELOPE: a frame whose bytes arrived
+  /// wrapped (Frame::compressed) is checked against this input first — the
+  /// envelope is legal only where its cargo may arrive — and then against
+  /// its inner input as usual.
   kInCompressed = 10,
 };
 inline constexpr size_t kNumWireInputs = 11;
@@ -103,18 +100,11 @@ inline constexpr WireInput kAllWireInputs[kNumWireInputs] = {
     WireInput::kInStatsReport,  WireInput::kInTraceChunk,
     WireInput::kInCompressed};
 
-/// The oldest protocol revision the table covers; kProtocolVersion
-/// (net/codec.h) is the newest. The version axis encodes the gates: a v1
-/// connection may not carry heartbeats, a v2 one may not carry stats.
-inline constexpr uint8_t kMinProtocolVersion = 1;
-inline constexpr size_t kNumProtocolVersions =
-    static_cast<size_t>(kProtocolVersion) - kMinProtocolVersion + 1;
-
 enum class ProtocolVerdict : uint8_t {
   kAccept = 0,
   kViolation = 1,
-  /// Only from ProtocolConformance::OnFrame, for a hello whose version is
-  /// not the one this endpoint speaks: counted as a violation, but the
+  /// Only from ProtocolConformance::OnFrame, for a first hello whose version
+  /// is not kProtocolVersion: counted as a violation, but the
   /// transport surfaces it as a deployment error (FailedPrecondition)
   /// instead of dropping it as line noise.
   kVersionMismatch = 2,
@@ -125,10 +115,9 @@ struct FrameRule {
   ProtocolState next = ProtocolState::kClosed;
 };
 
-/// The table lookup itself. Versions outside
-/// [kMinProtocolVersion, kProtocolVersion] get the default violation rule.
+/// The table lookup itself.
 const FrameRule& LookupRule(ProtocolState state, ProtocolDirection direction,
-                            WireInput input, uint8_t version);
+                            WireInput input);
 
 /// Classifies a decoded frame (kChannelClose fans out by frame.channel).
 WireInput WireInputOf(const Frame& frame);
@@ -146,18 +135,13 @@ inline constexpr char kProtocolViolationsMetric[] = "net.protocol.violations";
 /// which runs before the connection joins the loop).
 class ProtocolConformance {
  public:
-  /// `version` is the highest revision this endpoint speaks on this
-  /// connection. A hello negotiates the connection down to
-  /// min(version, peer) when the peer's version is acceptable — equal to
-  /// ours, or in [kMinNegotiableVersion, ours) — and every subsequent table
-  /// lookup uses the NEGOTIATED version, so v5-only traffic (compressed
-  /// envelopes, capability re-hellos) from a v4-negotiated peer violates.
-  /// Pass an explicit `version` for connections whose handshake happened
-  /// out-of-band (the reactor transport's accept loop constructs them
-  /// kActive at the version it read from the hello); `initial` is kActive
-  /// in that case.
+  /// Every hello must claim kProtocolVersion; any other version is a
+  /// kVersionMismatch for the first hello and a violation afterwards.
+  /// Connections whose handshake happened out-of-band (the reactor
+  /// transport's accept loop reads the hello before the connection exists)
+  /// pass `initial` = kActive.
   explicit ProtocolConformance(
-      ProtocolDirection direction, uint8_t version = kProtocolVersion,
+      ProtocolDirection direction,
       ProtocolState initial = ProtocolState::kAwaitingHello);
 
   /// Feeds one decoded frame through the table; advances the state. On
@@ -188,12 +172,7 @@ class ProtocolConformance {
 
   ProtocolState state() const { return state_; }
   ProtocolDirection direction() const { return direction_; }
-  uint8_t version() const { return version_; }
-  /// min(version(), last accepted hello's version); == version() before any
-  /// hello is seen. Table lookups run at this version.
-  uint8_t negotiated_version() const { return negotiated_version_; }
-  /// Capability bits from the last accepted hello (0 before one, and for
-  /// v4 peers, whose hellos carry no caps).
+  /// Capability bits from the last accepted hello (0 before one).
   uint64_t peer_caps() const { return peer_caps_; }
   int32_t bound_site() const { return bound_site_; }
   /// Violations charged to THIS connection (the metric is process-wide).
@@ -201,11 +180,8 @@ class ProtocolConformance {
 
  private:
   ProtocolVerdict CountViolation(ProtocolVerdict verdict);
-  bool VersionAcceptable(uint8_t peer_version) const;
 
   const ProtocolDirection direction_;
-  const uint8_t version_;
-  uint8_t negotiated_version_;
   uint64_t peer_caps_ = 0;
   ProtocolState state_;
   int32_t bound_site_ = -1;

@@ -6,123 +6,11 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <utility>
 
 #include "common/check.h"
-#include "net/io_uring_backend.h"
 
 namespace dsgm {
-
-// --- IoBackend: epoll implementation + selection -------------------------
-
-namespace {
-
-class EpollBackend final : public IoBackend {
- public:
-  EpollBackend() {
-    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    DSGM_CHECK_GE(epoll_fd_, 0) << "epoll_create1 failed";
-  }
-
-  ~EpollBackend() override { ::close(epoll_fd_); }
-
-  const char* name() const override { return "epoll"; }
-
-  void Add(int fd, uint32_t events) override {
-    epoll_event event{};
-    event.events = events | EPOLLET;
-    event.data.fd = fd;
-    DSGM_CHECK_EQ(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event), 0)
-        << "epoll_ctl(ADD) failed for fd " << fd;
-  }
-
-  void Modify(int fd, uint32_t events) override {
-    epoll_event event{};
-    event.events = events | EPOLLET;
-    event.data.fd = fd;
-    DSGM_CHECK_EQ(::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &event), 0)
-        << "epoll_ctl(MOD) failed for fd " << fd;
-  }
-
-  void Remove(int fd) override {
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-
-  int Wait(int timeout_ms, std::vector<IoReady>* out) override {
-    epoll_event events[kMaxWaitEvents];
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxWaitEvents, timeout_ms);
-    if (n < 0) return errno == EINTR ? 0 : -1;
-    for (int i = 0; i < n; ++i) {
-      out->push_back(IoReady{events[i].data.fd, events[i].events});
-    }
-    return n;
-  }
-
- private:
-  static constexpr int kMaxWaitEvents = 128;
-
-  int epoll_fd_ = -1;
-};
-
-}  // namespace
-
-const char* IoBackendKindName(IoBackendKind kind) {
-  switch (kind) {
-    case IoBackendKind::kDefault:
-      return "default";
-    case IoBackendKind::kEpoll:
-      return "epoll";
-    case IoBackendKind::kIoUring:
-      return "io_uring";
-    case IoBackendKind::kAuto:
-      return "auto";
-  }
-  return "?";
-}
-
-bool ParseIoBackendKind(const std::string& text, IoBackendKind* out) {
-  if (text == "epoll") {
-    *out = IoBackendKind::kEpoll;
-    return true;
-  }
-  if (text == "io_uring") {
-    *out = IoBackendKind::kIoUring;
-    return true;
-  }
-  if (text == "auto") {
-    *out = IoBackendKind::kAuto;
-    return true;
-  }
-  return false;
-}
-
-IoBackendKind ResolveIoBackendKind(IoBackendKind kind) {
-  if (kind != IoBackendKind::kDefault) return kind;
-  const char* env = std::getenv("DSGM_IO_BACKEND");
-  IoBackendKind parsed;
-  if (env != nullptr && ParseIoBackendKind(env, &parsed)) return parsed;
-  return IoBackendKind::kEpoll;
-}
-
-std::unique_ptr<IoBackend> MakeIoBackend(IoBackendKind kind) {
-  switch (ResolveIoBackendKind(kind)) {
-    case IoBackendKind::kIoUring:
-    case IoBackendKind::kAuto: {
-      std::unique_ptr<IoBackend> uring = MakeIoUringBackend();
-      if (uring != nullptr) return uring;
-      break;  // Build or kernel lacks io_uring; epoll serves the request.
-    }
-    default:
-      break;
-  }
-  return std::make_unique<EpollBackend>();
-}
-
-bool IoUringAvailable() {
-  static const bool available = MakeIoUringBackend() != nullptr;
-  return available;
-}
 
 // --- TimerWheel ----------------------------------------------------------
 
@@ -188,17 +76,32 @@ void TimerWheel::Advance(uint64_t now_tick, std::vector<uint64_t>* fired) {
 // --- Reactor -------------------------------------------------------------
 
 namespace {
+
 constexpr size_t kWheelSlots = 256;
+constexpr int kMaxWaitEvents = 128;
+
+// Registers (EPOLL_CTL_ADD) or re-arms (EPOLL_CTL_MOD) `fd`, always
+// edge-triggered.
+void EpollControl(int epoll_fd, int op, int fd, uint32_t events) {
+  epoll_event event{};
+  event.events = events | EPOLLET;
+  event.data.fd = fd;
+  DSGM_CHECK_EQ(::epoll_ctl(epoll_fd, op, fd, &event), 0)
+      << "epoll_ctl(" << (op == EPOLL_CTL_ADD ? "ADD" : "MOD")
+      << ") failed for fd " << fd;
+}
+
 }  // namespace
 
-Reactor::Reactor(IoBackendKind backend)
-    : backend_(MakeIoBackend(backend)),
-      wheel_(kTickMs, kWheelSlots),
+Reactor::Reactor()
+    : wheel_(kTickMs, kWheelSlots),
       epoch_nanos_(NowNanos()),
       loop_latency_ns_(
           MetricsRegistry::Global().GetHistogram("net.reactor.loop_ns")),
       timer_fires_(MetricsRegistry::Global().GetCounter("net.reactor.timer_fires")),
       wakeups_(MetricsRegistry::Global().GetCounter("net.reactor.wakeups")) {
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  DSGM_CHECK_GE(epoll_fd_, 0) << "epoll_create1 failed";
   wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
   DSGM_CHECK_GE(wake_fd_, 0) << "eventfd failed";
   // The loop has not started; the constructing thread holds the role for
@@ -214,6 +117,7 @@ Reactor::Reactor(IoBackendKind backend)
 Reactor::~Reactor() {
   Stop();
   ::close(wake_fd_);
+  ::close(epoll_fd_);
 }
 
 void Reactor::Start() {
@@ -274,16 +178,16 @@ void Reactor::RunPosted() {
 void Reactor::AddFd(int fd, uint32_t events, FdHandler handler) {
   DSGM_CHECK(handlers_.emplace(fd, std::move(handler)).second)
       << "fd registered twice: " << fd;
-  backend_->Add(fd, events);
+  EpollControl(epoll_fd_, EPOLL_CTL_ADD, fd, events);
 }
 
 void Reactor::ModifyFd(int fd, uint32_t events) {
-  backend_->Modify(fd, events);
+  EpollControl(epoll_fd_, EPOLL_CTL_MOD, fd, events);
 }
 
 void Reactor::RemoveFd(int fd) {
   if (handlers_.erase(fd) == 0) return;
-  backend_->Remove(fd);
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
 }
 
 Reactor::TimerId Reactor::AddTimer(int delay_ms, std::function<void()> fn,
@@ -335,22 +239,23 @@ void Reactor::AdvanceTimers() {
 void Reactor::Loop() {
   loop_id_.store(std::this_thread::get_id(), std::memory_order_release);
   loop_role.Grant();
-  std::vector<IoReady> ready;
-  ready.reserve(128);
+  epoll_event ready[kMaxWaitEvents];
   while (!stop_.load(std::memory_order_acquire)) {
-    ready.clear();
-    const int n = backend_->Wait(NextWaitMs(), &ready);
-    if (n < 0) break;  // Unrecoverable backend failure.
+    int n = ::epoll_wait(epoll_fd_, ready, kMaxWaitEvents, NextWaitMs());
+    if (n < 0) {
+      if (errno != EINTR) break;  // Unrecoverable epoll failure.
+      n = 0;
+    }
     // Iteration latency = the work between two waits (handlers, timers,
     // posted closures) — the time a newly-ready fd can wait before the
-    // loop gets back to the backend. The sleep itself is not latency.
+    // loop gets back to epoll_wait. The sleep itself is not latency.
     const int64_t work_start = NowNanos();
-    for (const IoReady& r : ready) {
+    for (int i = 0; i < n; ++i) {
       // A handler earlier in this batch may have removed a later fd; the
       // map lookup (not a stale pointer) makes that safe.
-      auto it = handlers_.find(r.fd);
+      auto it = handlers_.find(ready[i].data.fd);
       if (it == handlers_.end()) continue;
-      it->second(r.events);
+      it->second(ready[i].events);
     }
     AdvanceTimers();
     RunPosted();

@@ -7,10 +7,8 @@
 //   - TimerWheel: a hashed timer wheel (fixed tick, power-of-two slots) for
 //     the per-site liveness deadlines and heartbeat periods. Pure tick
 //     arithmetic, no clock — unit-testable without sleeping.
-//   - Reactor: a readiness backend (edge-triggered epoll, or multishot-poll
-//     io_uring when the kernel provides it — see net/io_backend.h) + an
-//     eventfd wakeup so other threads can inject work, + the wheel driven
-//     from the wait timeout.
+//   - Reactor: edge-triggered epoll + an eventfd wakeup so other threads
+//     can inject work, + the wheel driven from the wait timeout.
 //
 // Threading model: the loop runs on one dedicated thread (Start/Stop). All
 // fd and timer mutation happens on that thread; other threads communicate
@@ -29,7 +27,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -38,7 +35,6 @@
 #include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "net/io_backend.h"
 
 namespace dsgm {
 
@@ -86,17 +82,12 @@ class TimerWheel {
 class Reactor {
  public:
   /// Bitmask of EPOLLIN / EPOLLOUT / EPOLLERR / EPOLLHUP, as delivered by
-  /// the readiness backend. Registration is always edge-ish (EPOLLET for
-  /// the epoll backend, multishot poll for io_uring); handlers must
-  /// therefore drain the fd to EAGAIN.
+  /// epoll_wait. Registration is always edge-triggered (EPOLLET); handlers
+  /// must therefore drain the fd to EAGAIN.
   using FdHandler = std::function<void(uint32_t events)>;
   using TimerId = uint64_t;
 
-  /// `backend` selects the readiness backend (net/io_backend.h). The
-  /// default honors the DSGM_IO_BACKEND environment variable, else epoll;
-  /// an unsatisfiable io_uring request falls back to epoll — consult
-  /// io_backend_name() for what actually runs.
-  explicit Reactor(IoBackendKind backend = IoBackendKind::kDefault);
+  Reactor();
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
@@ -111,10 +102,6 @@ class Reactor {
   void Stop();
 
   bool InLoopThread() const;
-
-  /// The readiness backend actually in use ("epoll" or "io_uring") — the
-  /// fallback may differ from what the constructor was asked for.
-  const char* io_backend_name() const { return backend_->name(); }
 
   /// Runs `fn` on the loop thread: inline when already there, else enqueued
   /// and the loop woken. The only thread-safe entry point.
@@ -156,7 +143,7 @@ class Reactor {
   uint64_t NowTick() const;
   int NextWaitMs() const DSGM_REQUIRES(loop_role);
 
-  const std::unique_ptr<IoBackend> backend_;
+  int epoll_fd_ = -1;
   int wake_fd_ = -1;
   std::unordered_map<int, FdHandler> handlers_ DSGM_GUARDED_BY(loop_role);
 

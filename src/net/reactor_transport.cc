@@ -42,7 +42,7 @@ Status SendHelloBlocking(TcpSocket* socket, int32_t site) {
 
 StatusOr<HelloInfo> ReadHelloInfoBlocking(TcpSocket* socket) {
   // The handshake runs the same conformance machine as the steady state:
-  // a fresh kAwaitingHello validator accepts exactly one acceptable-version
+  // a fresh kAwaitingHello validator accepts exactly one current-version
   // hello and counts everything else on `net.protocol.violations`.
   ProtocolConformance conformance(ProtocolDirection::kSiteToCoordinator);
   uint8_t prefix[4];
@@ -65,7 +65,6 @@ StatusOr<HelloInfo> ReadHelloInfoBlocking(TcpSocket* socket) {
     case ProtocolVerdict::kAccept: {
       HelloInfo info;
       info.site = frame.site;
-      info.version = frame.protocol_version;
       info.caps = frame.caps;
       return info;
     }
@@ -98,8 +97,7 @@ ReactorConnection::ReactorConnection(Reactor* reactor, TcpSocket socket,
       socket_(std::move(socket)),
       site_(site),
       options_(options),
-      conformance_(options.receive_direction, options.negotiated_version,
-                   ProtocolState::kActive),
+      conformance_(options.receive_direction, ProtocolState::kActive),
       event_inbox_(options.event_capacity),
       command_inbox_(options.command_capacity),
       owned_update_inbox_(options.shared_updates == nullptr
@@ -211,7 +209,7 @@ bool ReactorConnection::SendFrame(const Frame& frame, bool bypass_backpressure) 
 #endif
   scratch.clear();
   if (compress_tx_.load(std::memory_order_relaxed)) {
-    // Negotiated v5 with kCapCompression: the codec decides per frame
+    // Both ends advertised kCapCompression: the codec decides per frame
     // whether the envelope actually pays (eligibility, size floor,
     // profitability) and falls back to the raw encoding otherwise.
     AppendFrameMaybeCompressed(frame, &scratch);
@@ -451,7 +449,7 @@ bool ReactorConnection::TryDeliver(Frame* frame) {
       }
       return true;
     case FrameType::kHello:
-      // The coordinator's v5 capability reply-hello (the only hello the
+      // The coordinator's capability reply-hello (the only hello the
       // table accepts post-handshake, and only on the coordinator-to-site
       // half): the conformance machine recorded the peer's capability bits;
       // begin compressing eligible sends if both ends opted in.
@@ -608,7 +606,6 @@ void ReactorConnection::ShutdownFromOwner() {
 ReactorCoordinator::ReactorCoordinator(int num_sites, const Options& options)
     : num_sites_(num_sites),
       options_(options),
-      reactor_(options.io_backend),
       merged_updates_(8192),
       update_channel_(&merged_updates_),
       connections_(static_cast<size_t>(num_sites)),
@@ -662,13 +659,10 @@ Status ReactorCoordinator::AcceptSites(TcpListener* listener) {
       }
     }
     socket->SetRecvTimeout(0);
-    if (hello->version >= 5) {
-      // v5 handshake half two: reply with our own hello so the site learns
-      // the coordinator's capability bits (a v4 site would reject it, so
-      // v4-negotiated connections never see one). Best-effort: a send
-      // failure surfaces through the connection's read side.
-      (void)SendHelloBlocking(&socket.value(), hello->site);
-    }
+    // Handshake half two: reply with our own hello so the site learns the
+    // coordinator's capability bits. Best-effort: a send failure surfaces
+    // through the connection's read side.
+    (void)SendHelloBlocking(&socket.value(), hello->site);
     ReactorConnection::Options connection_options;
     connection_options.shared_updates = &merged_updates_;
     connection_options.liveness_timeout_ms = options_.liveness_timeout_ms;
@@ -677,8 +671,6 @@ Status ReactorCoordinator::AcceptSites(TcpListener* listener) {
     connection_options.echo_heartbeats = true;
     connection_options.receive_direction =
         ProtocolDirection::kSiteToCoordinator;
-    connection_options.negotiated_version =
-        std::min<uint8_t>(kProtocolVersion, hello->version);
     connection_options.compress_tx =
         (hello->caps & kCapCompression) != 0 && WireCompressionEnabled();
     const int site_id = hello->site;
@@ -755,10 +747,8 @@ namespace {
 
 class ReactorTransport : public ClusterTransport {
  public:
-  ReactorTransport(int num_sites, IoBackendKind io_backend)
+  explicit ReactorTransport(int num_sites)
       : num_sites_(num_sites),
-        coordinator_reactor_(io_backend),
-        site_reactor_(io_backend),
         merged_updates_(8192),
         update_channel_(&merged_updates_) {
     StatusOr<TcpListener> listener = TcpListener::Listen(0, num_sites + 8);
@@ -782,7 +772,7 @@ class ReactorTransport : public ClusterTransport {
       const int32_t site = hello->site;
       DSGM_CHECK(site >= 0 && site < num_sites);
       DSGM_CHECK(coordinator_sockets[static_cast<size_t>(site)].valid() == false);
-      // v5 handshake half two: the capability reply-hello. The bytes sit in
+      // Handshake half two: the capability reply-hello. The bytes sit in
       // the socket buffer until the site connection starts reading.
       DSGM_CHECK(SendHelloBlocking(&socket.value(), site).ok());
       compress =
@@ -890,13 +880,8 @@ class ReactorTransport : public ClusterTransport {
 }  // namespace
 
 std::unique_ptr<ClusterTransport> MakeReactorTransport(int num_sites) {
-  return MakeReactorTransport(num_sites, IoBackendKind::kDefault);
-}
-
-std::unique_ptr<ClusterTransport> MakeReactorTransport(int num_sites,
-                                                       IoBackendKind io_backend) {
   DSGM_CHECK_GT(num_sites, 0);
-  return std::make_unique<ReactorTransport>(num_sites, io_backend);
+  return std::make_unique<ReactorTransport>(num_sites);
 }
 
 }  // namespace dsgm

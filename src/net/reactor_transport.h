@@ -278,7 +278,7 @@ class ReactorConnection {
     SiteHealthBoard* health = nullptr;
     /// Optional cluster trace board (owned by the caller, must outlive the
     /// connection). Validated kTraceChunk frames are Ingest()ed into it and
-    /// v4 heartbeat clock samples feed its per-site skew estimator.
+    /// heartbeat clock samples feed its per-site skew estimator.
     ClusterTraceBoard* trace_board = nullptr;
     /// Coordinator side: reflect every received heartbeat back to the site
     /// (stamped with the local clock) so the site can close the NTP
@@ -301,11 +301,6 @@ class ReactorConnection {
     /// dropped report.
     ProtocolDirection receive_direction =
         ProtocolDirection::kSiteToCoordinator;
-    /// The version the out-of-band handshake negotiated (min of both ends).
-    /// The conformance machine runs at this version, so v5-only traffic —
-    /// compressed envelopes, capability re-hellos — from a v4-negotiated
-    /// peer is a model-checked violation.
-    uint8_t negotiated_version = kProtocolVersion;
     /// Start compressing eligible outbound frames immediately (coordinator
     /// side, which learned the peer's capability bits from its hello). The
     /// site side starts false and flips when the coordinator's capability
@@ -427,7 +422,8 @@ class ReactorConnection {
 
   std::atomic<uint64_t> bytes_sent_{0};
   std::atomic<uint64_t> bytes_received_{0};
-  /// Compress eligible outbound frames (negotiated v5 + kCapCompression).
+  /// Compress eligible outbound frames (both ends advertised
+  /// kCapCompression).
   /// Written at construction or by the loop thread on the capability
   /// reply-hello; read by any sending thread.
   std::atomic<bool> compress_tx_;
@@ -465,9 +461,6 @@ class ReactorCoordinator {
     /// Optional cluster trace board; must outlive the coordinator. Fed from
     /// kTraceChunk frames and heartbeat clock samples by each connection.
     ClusterTraceBoard* trace_board = nullptr;
-    /// Readiness backend for the reactor thread (net/io_backend.h); an
-    /// unsatisfiable io_uring request falls back to epoll.
-    IoBackendKind io_backend = IoBackendKind::kDefault;
   };
 
   ReactorCoordinator(int num_sites, const Options& options);
@@ -478,8 +471,6 @@ class ReactorCoordinator {
   Status AcceptSites(TcpListener* listener) DSGM_EXCLUDES(connections_mu_);
 
   int num_sites() const { return num_sites_; }
-  /// The readiness backend the reactor actually runs ("epoll"/"io_uring").
-  const char* io_backend_name() const { return reactor_.io_backend_name(); }
   Channel<UpdateBundle>* updates() { return &update_channel_; }
   FlowQueue<UpdateBundle>* merged_updates() { return &merged_updates_; }
   Channel<EventBatch>* events(int site) DSGM_EXCLUDES(connections_mu_);
@@ -515,12 +506,11 @@ class ReactorCoordinator {
 // role; the hello is an ordinary length-prefixed frame).
 Status SendHelloBlocking(TcpSocket* socket, int32_t site);
 
-/// What a blocking hello read learned about the peer: its announced site,
-/// the protocol version it speaks (possibly below ours — the connection
-/// then runs at min(ours, theirs)), and its capability bits (v5+).
+/// What a blocking hello read learned about the peer: its announced site
+/// and its capability bits. A hello for any other protocol version fails
+/// the read with FailedPrecondition.
 struct HelloInfo {
   int32_t site = -1;
-  uint8_t version = kProtocolVersion;
   uint64_t caps = 0;
 };
 StatusOr<HelloInfo> ReadHelloInfoBlocking(TcpSocket* socket);

@@ -68,14 +68,14 @@ struct SiteStatsReport {
   uint64_t heartbeats_sent = 0;
 };
 
-/// Heartbeat timing payload (protocol v4). Heartbeats carry three clock
+/// Heartbeat timing payload. Heartbeats carry three clock
 /// samples so the coordinator can estimate each site's clock offset with
 /// the NTP four-timestamp method, closed over two legs: the coordinator
 /// echoes every site heartbeat (stamping `send_nanos` with its own clock),
 /// and the site's NEXT heartbeat carries that echo back together with its
 /// own receive time. The fourth timestamp — when this heartbeat reached
 /// the coordinator — is measured locally at delivery, never trusted from
-/// the wire. Zeros mean "no sample yet" (v4 sites before their first echo
+/// the wire. Zeros mean "no sample yet" (before the site's first echo
 /// round-trip completes).
 struct HeartbeatTimestamps {
   /// Sender's clock at the moment this frame was built.
@@ -87,7 +87,7 @@ struct HeartbeatTimestamps {
   int64_t echo_recv_nanos = 0;
 };
 
-/// Site -> coordinator observability frame (protocol v4), piggybacked on
+/// Site -> coordinator observability frame, piggybacked on
 /// the heartbeat cadence like kStatsReport: an incremental drain of the
 /// site's per-thread TraceRings. `first_seq` is the site-local sequence
 /// number of events[0]; the cursor is monotone, so the coordinator can

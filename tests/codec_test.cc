@@ -223,7 +223,8 @@ TEST(CodecTest, OversizedLengthPrefixRejectedBeforeAllocation) {
 }
 
 TEST(CodecTest, BadFrameTypeTagFails) {
-  // 8 became kTraceChunk in protocol v4; the first invalid tag is now 9.
+  // 0 and tags above kCompressed are invalid; a bare 9 is an envelope
+  // with no body.
   for (uint8_t tag : {uint8_t{0}, uint8_t{9}, uint8_t{99}, uint8_t{255}}) {
     const std::vector<uint8_t> payload = {tag};
     Frame frame;

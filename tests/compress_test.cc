@@ -1,4 +1,4 @@
-// Tests for net/compress.h (the protocol-v5 LZ byte codec) and the
+// Tests for net/compress.h (the wire's LZ byte codec) and the
 // kCompressed envelope path in net/codec.h. The decompressor is the
 // untrusted surface — every adversarial shape here must come back as a
 // Status error, never a crash, an out-of-bounds access, or a silent
@@ -371,7 +371,7 @@ TEST(CompressEnvelopeTest, GarbageLzBlockNeverCrashes) {
   }
 }
 
-// --- v5 hello capability bits through the codec. -----------------------
+// --- Hello capability bits through the codec. --------------------------
 
 TEST(CompressCapsTest, HelloCapsRoundTrip) {
   Frame hello = MakeHello(7, kCapCompression | (uint64_t{1} << 17));
@@ -394,24 +394,28 @@ TEST(CompressCapsTest, DefaultHelloAdvertisesCompressionWhenEnabled) {
 }
 
 TEST(CompressCapsTest, V4HelloOmitsTheCapsVarintByteExactly) {
-  // Downgraded hellos must be byte-identical to what a real v4 peer sends:
-  // no trailing caps varint at all, not a zero varint (a v4 decoder would
-  // reject the trailing byte as garbage).
-  Frame v4 = MakeHello(3, kCapCompression);
-  v4.protocol_version = 4;
-  std::vector<uint8_t> v4_wire;
-  AppendFrame(v4, &v4_wire);
-  Frame v5 = MakeHello(3, 0);
-  std::vector<uint8_t> v5_wire;
-  AppendFrame(v5, &v5_wire);
-  EXPECT_EQ(v4_wire.size() + 1, v5_wire.size());
+  // A v4 peer's hello has no trailing caps varint at all. The encoder always
+  // writes one now, but the decoder must still read the v4 shape byte-exactly
+  // (no caps, nothing left over), so the conformance layer can report the
+  // peer's version mismatch instead of a decode error.
+  Frame current = MakeHello(3, 0);
+  std::vector<uint8_t> current_wire;
+  AppendFrame(current, &current_wire);
+  // u32-LE length prefix, then type, version and the zigzag site id.
+  const std::vector<uint8_t> v4_wire = {
+      3, 0, 0, 0, static_cast<uint8_t>(FrameType::kHello), 4,
+      static_cast<uint8_t>(ZigzagEncode(3))};
+  EXPECT_EQ(v4_wire.size() + 1, current_wire.size());
 
   Frame decoded;
   size_t consumed = 0;
   ASSERT_TRUE(
       DecodeFrame(v4_wire.data(), v4_wire.size(), &decoded, &consumed).ok());
+  EXPECT_EQ(consumed, v4_wire.size());
+  EXPECT_EQ(decoded.type, FrameType::kHello);
   EXPECT_EQ(decoded.protocol_version, 4);
-  EXPECT_EQ(decoded.caps, 0u);  // Never inherited from the unsent field.
+  EXPECT_EQ(decoded.site, 3);
+  EXPECT_EQ(decoded.caps, 0u);  // Never inherited from an unsent field.
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Model-checks the protocol conformance table of net/protocol_spec.h by
 // exhaustive enumeration: the state space is tiny (4 states x 2 directions
-// x 11 inputs x 5 versions = 440 cells), so instead of sampling behaviors we
-// iterate all of them and prove the contract's load-bearing properties —
-// totality, hello-before-anything, nothing-after-close, version gates,
-// directional ownership, and reachability of every state. Below that, unit
-// tests drive the ProtocolConformance validator (including the v4 payload
-// site binding and the v5 downgrade negotiation) and the
+// x 11 inputs = 88 cells), so instead of sampling behaviors we iterate all
+// of them and prove the contract's load-bearing properties — totality,
+// hello-before-anything, nothing-after-close, directional ownership, and
+// reachability of every state. Below that, unit tests drive the
+// ProtocolConformance validator (including the payload site binding, the
+// version check and the capability reply-hello) and the
 // ProtocolStreamChecker through legal and adversarial sequences.
 
 #include "net/protocol_spec.h"
@@ -21,10 +21,6 @@
 namespace dsgm {
 namespace {
 
-constexpr uint8_t kAllVersions[] = {1, 2, 3, 4, 5};
-static_assert(sizeof(kAllVersions) == kNumProtocolVersions,
-              "enumerate every version the table covers");
-
 // --- Table enumeration ----------------------------------------------------
 
 TEST(ProtocolSpecTable, EveryTripleHasADefinedVerdict) {
@@ -32,206 +28,107 @@ TEST(ProtocolSpecTable, EveryTripleHasADefinedVerdict) {
   for (ProtocolState state : kAllProtocolStates) {
     for (ProtocolDirection direction : kAllProtocolDirections) {
       for (WireInput input : kAllWireInputs) {
-        for (uint8_t version : kAllVersions) {
-          const FrameRule& rule = LookupRule(state, direction, input, version);
-          // Totality: the verdict is one of the two table outcomes (the
-          // kVersionMismatch refinement exists only in OnFrame), and a
-          // violation always lands in the terminal state.
-          EXPECT_TRUE(rule.verdict == ProtocolVerdict::kAccept ||
-                      rule.verdict == ProtocolVerdict::kViolation)
-              << ProtocolStateName(state) << " x "
-              << ProtocolDirectionName(direction) << " x "
-              << WireInputName(input) << " v" << int(version);
-          if (rule.verdict == ProtocolVerdict::kViolation) {
-            EXPECT_EQ(rule.next, ProtocolState::kClosed)
-                << "violations must be terminal: " << ProtocolStateName(state)
-                << " x " << WireInputName(input);
-          }
-          ++cells;
+        const FrameRule& rule = LookupRule(state, direction, input);
+        // Totality: the verdict is one of the two table outcomes (the
+        // kVersionMismatch refinement exists only in OnFrame), and a
+        // violation always lands in the terminal state.
+        EXPECT_TRUE(rule.verdict == ProtocolVerdict::kAccept ||
+                    rule.verdict == ProtocolVerdict::kViolation)
+            << ProtocolStateName(state) << " x "
+            << ProtocolDirectionName(direction) << " x "
+            << WireInputName(input);
+        if (rule.verdict == ProtocolVerdict::kViolation) {
+          EXPECT_EQ(rule.next, ProtocolState::kClosed)
+              << "violations must be terminal: " << ProtocolStateName(state)
+              << " x " << WireInputName(input);
         }
+        ++cells;
       }
     }
   }
-  EXPECT_EQ(cells, 4 * 2 * 11 * 5);
+  EXPECT_EQ(cells, 4 * 2 * 11);
 }
 
 TEST(ProtocolSpecTable, HelloBeforeAnything) {
   for (ProtocolDirection direction : kAllProtocolDirections) {
-    for (uint8_t version : kAllVersions) {
-      for (WireInput input : kAllWireInputs) {
-        const FrameRule& rule = LookupRule(ProtocolState::kAwaitingHello,
-                                           direction, input, version);
-        if (input == WireInput::kInHello) {
-          EXPECT_EQ(rule.verdict, ProtocolVerdict::kAccept);
-          EXPECT_EQ(rule.next, ProtocolState::kActive);
-        } else {
-          EXPECT_EQ(rule.verdict, ProtocolVerdict::kViolation)
-              << WireInputName(input) << " must not precede the hello ("
-              << ProtocolDirectionName(direction) << ", v" << int(version)
-              << ")";
-        }
+    for (WireInput input : kAllWireInputs) {
+      const FrameRule& rule =
+          LookupRule(ProtocolState::kAwaitingHello, direction, input);
+      if (input == WireInput::kInHello) {
+        EXPECT_EQ(rule.verdict, ProtocolVerdict::kAccept);
+        EXPECT_EQ(rule.next, ProtocolState::kActive);
+      } else {
+        EXPECT_EQ(rule.verdict, ProtocolVerdict::kViolation)
+            << WireInputName(input) << " must not precede the hello ("
+            << ProtocolDirectionName(direction) << ")";
       }
     }
   }
 }
 
 TEST(ProtocolSpecTable, NothingAfterClose) {
+  constexpr ProtocolDirection kS2C = ProtocolDirection::kSiteToCoordinator;
+  constexpr ProtocolDirection kC2S = ProtocolDirection::kCoordinatorToSite;
   for (ProtocolDirection direction : kAllProtocolDirections) {
-    for (uint8_t version : kAllVersions) {
-      for (WireInput input : kAllWireInputs) {
-        EXPECT_EQ(
-            LookupRule(ProtocolState::kClosed, direction, input, version)
-                .verdict,
-            ProtocolVerdict::kViolation)
-            << WireInputName(input) << " accepted in the terminal state";
-      }
+    for (WireInput input : kAllWireInputs) {
+      EXPECT_EQ(LookupRule(ProtocolState::kClosed, direction, input).verdict,
+                ProtocolVerdict::kViolation)
+          << WireInputName(input) << " accepted in the terminal state";
     }
+  }
+  // After the site's terminal update-lane close only heartbeats may
+  // follow: stats reports and trace chunks are data, and so is anything
+  // wrapped in a compression envelope.
+  for (WireInput input : {WireInput::kInStatsReport, WireInput::kInTraceChunk,
+                          WireInput::kInCompressed}) {
+    EXPECT_EQ(LookupRule(ProtocolState::kDraining, kS2C, input).verdict,
+              ProtocolVerdict::kViolation)
+        << WireInputName(input) << " after the update-lane close";
+  }
+  EXPECT_EQ(
+      LookupRule(ProtocolState::kDraining, kS2C, WireInput::kInHeartbeat)
+          .verdict,
+      ProtocolVerdict::kAccept);
+  // After the coordinator's command-lane close, event stragglers (raw or
+  // compressed) and heartbeat echoes stay legal.
+  for (WireInput input : {WireInput::kInEventBatch, WireInput::kInCompressed,
+                          WireInput::kInHeartbeat}) {
+    EXPECT_EQ(LookupRule(ProtocolState::kDraining, kC2S, input).verdict,
+              ProtocolVerdict::kAccept)
+        << WireInputName(input) << " after the command-lane close";
   }
 }
 
 TEST(ProtocolSpecTable, ExactlyOneHelloEver) {
   // A hello is legal in kAwaitingHello (checked above) and nowhere else —
-  // with ONE carve-out: the v5 capability reply-hello the coordinator sends
-  // a site (kCoordinatorToSite, kActive, v5 only), which must be
-  // state-preserving. Every other late hello stays a violation.
+  // with ONE carve-out: the capability reply-hello the coordinator sends a
+  // site (kCoordinatorToSite, kActive), which must be state-preserving.
+  // Every other late hello stays a violation.
   for (ProtocolState state :
        {ProtocolState::kActive, ProtocolState::kDraining,
         ProtocolState::kClosed}) {
     for (ProtocolDirection direction : kAllProtocolDirections) {
-      for (uint8_t version : kAllVersions) {
-        const FrameRule& rule =
-            LookupRule(state, direction, WireInput::kInHello, version);
-        if (state == ProtocolState::kActive &&
-            direction == ProtocolDirection::kCoordinatorToSite &&
-            version == 5) {
-          EXPECT_EQ(rule.verdict, ProtocolVerdict::kAccept);
-          EXPECT_EQ(rule.next, ProtocolState::kActive)
-              << "the capability reply-hello must not change state";
-        } else {
-          EXPECT_EQ(rule.verdict, ProtocolVerdict::kViolation)
-              << "duplicate hello accepted in " << ProtocolStateName(state)
-              << " (" << ProtocolDirectionName(direction) << ", v"
-              << int(version) << ")";
-        }
+      const FrameRule& rule = LookupRule(state, direction, WireInput::kInHello);
+      if (state == ProtocolState::kActive &&
+          direction == ProtocolDirection::kCoordinatorToSite) {
+        EXPECT_EQ(rule.verdict, ProtocolVerdict::kAccept);
+        EXPECT_EQ(rule.next, ProtocolState::kActive)
+            << "the capability reply-hello must not change state";
+      } else {
+        EXPECT_EQ(rule.verdict, ProtocolVerdict::kViolation)
+            << "duplicate hello accepted in " << ProtocolStateName(state)
+            << " (" << ProtocolDirectionName(direction) << ")";
       }
     }
   }
-}
-
-TEST(ProtocolSpecTable, VersionGates) {
-  constexpr ProtocolDirection kS2C = ProtocolDirection::kSiteToCoordinator;
-  constexpr ProtocolDirection kC2S = ProtocolDirection::kCoordinatorToSite;
-  // Heartbeats exist since v2: a v1 peer sending one is malformed traffic.
-  EXPECT_EQ(LookupRule(ProtocolState::kActive, kS2C, WireInput::kInHeartbeat, 1)
-                .verdict,
-            ProtocolVerdict::kViolation);
-  for (uint8_t v : {uint8_t{2}, uint8_t{3}, uint8_t{4}, uint8_t{5}}) {
-    EXPECT_EQ(
-        LookupRule(ProtocolState::kActive, kS2C, WireInput::kInHeartbeat, v)
-            .verdict,
-        ProtocolVerdict::kAccept);
-    EXPECT_EQ(
-        LookupRule(ProtocolState::kDraining, kS2C, WireInput::kInHeartbeat, v)
-            .verdict,
-        ProtocolVerdict::kAccept);
-  }
-  // Stats reports exist since v3, and only while the update lane is open.
-  for (uint8_t v : {uint8_t{1}, uint8_t{2}}) {
-    EXPECT_EQ(
-        LookupRule(ProtocolState::kActive, kS2C, WireInput::kInStatsReport, v)
-            .verdict,
-        ProtocolVerdict::kViolation);
-  }
-  for (uint8_t v : {uint8_t{3}, uint8_t{4}, uint8_t{5}}) {
-    EXPECT_EQ(
-        LookupRule(ProtocolState::kActive, kS2C, WireInput::kInStatsReport, v)
-            .verdict,
-        ProtocolVerdict::kAccept);
-    EXPECT_EQ(
-        LookupRule(ProtocolState::kDraining, kS2C, WireInput::kInStatsReport,
-                   v)
-            .verdict,
-        ProtocolVerdict::kViolation)
-        << "stats are data; data after the terminal close is a violation";
-  }
-  // Trace chunks exist since v4, and, like stats, only while the update
-  // lane is open.
-  for (uint8_t v : {uint8_t{1}, uint8_t{2}, uint8_t{3}}) {
-    EXPECT_EQ(
-        LookupRule(ProtocolState::kActive, kS2C, WireInput::kInTraceChunk, v)
-            .verdict,
-        ProtocolVerdict::kViolation);
-  }
-  for (uint8_t v : {uint8_t{4}, uint8_t{5}}) {
-    EXPECT_EQ(
-        LookupRule(ProtocolState::kActive, kS2C, WireInput::kInTraceChunk, v)
-            .verdict,
-        ProtocolVerdict::kAccept);
-    EXPECT_EQ(
-        LookupRule(ProtocolState::kDraining, kS2C, WireInput::kInTraceChunk, v)
-            .verdict,
-        ProtocolVerdict::kViolation);
-  }
-  // Coordinator heartbeat echoes exist since v4; they follow the site's own
-  // heartbeat lifetime (legal through Draining, gone after close).
-  for (uint8_t v : {uint8_t{1}, uint8_t{2}, uint8_t{3}}) {
-    EXPECT_EQ(
-        LookupRule(ProtocolState::kActive, kC2S, WireInput::kInHeartbeat, v)
-            .verdict,
-        ProtocolVerdict::kViolation);
-  }
-  for (uint8_t v : {uint8_t{4}, uint8_t{5}}) {
-    EXPECT_EQ(
-        LookupRule(ProtocolState::kActive, kC2S, WireInput::kInHeartbeat, v)
-            .verdict,
-        ProtocolVerdict::kAccept);
-    EXPECT_EQ(
-        LookupRule(ProtocolState::kDraining, kC2S, WireInput::kInHeartbeat, v)
-            .verdict,
-        ProtocolVerdict::kAccept);
-  }
-  // Compression envelopes exist since v5: a wrapped frame from any older
-  // revision is a violation in every state, and even at v5 the envelope
-  // follows the wrapped data's lifetime — S2C data ends at the update-lane
-  // close, C2S event stragglers stay legal through Draining.
-  for (uint8_t v : {uint8_t{1}, uint8_t{2}, uint8_t{3}, uint8_t{4}}) {
-    for (ProtocolState state : kAllProtocolStates) {
-      for (ProtocolDirection direction : kAllProtocolDirections) {
-        EXPECT_EQ(
-            LookupRule(state, direction, WireInput::kInCompressed, v).verdict,
-            ProtocolVerdict::kViolation)
-            << "compressed envelope accepted at v" << int(v) << " in "
-            << ProtocolStateName(state);
-      }
-    }
-  }
-  EXPECT_EQ(
-      LookupRule(ProtocolState::kActive, kS2C, WireInput::kInCompressed, 5)
-          .verdict,
-      ProtocolVerdict::kAccept);
-  EXPECT_EQ(
-      LookupRule(ProtocolState::kDraining, kS2C, WireInput::kInCompressed, 5)
-          .verdict,
-      ProtocolVerdict::kViolation)
-      << "S2C data after the update-lane close stays illegal, wrapped or not";
-  EXPECT_EQ(
-      LookupRule(ProtocolState::kActive, kC2S, WireInput::kInCompressed, 5)
-          .verdict,
-      ProtocolVerdict::kAccept);
-  EXPECT_EQ(
-      LookupRule(ProtocolState::kDraining, kC2S, WireInput::kInCompressed, 5)
-          .verdict,
-      ProtocolVerdict::kAccept)
-      << "compressed event stragglers mirror raw ones through Draining";
 }
 
 TEST(ProtocolSpecTable, DirectionalOwnership) {
   constexpr ProtocolDirection kS2C = ProtocolDirection::kSiteToCoordinator;
   constexpr ProtocolDirection kC2S = ProtocolDirection::kCoordinatorToSite;
   // Frame kinds only the coordinator sends must never be accepted FROM a
-  // site, in any state or version — and vice versa. Heartbeats left this
-  // list in v4 (the coordinator echoes them); their C2S version gate is
-  // checked in VersionGates above.
+  // site, in any state — and vice versa. Heartbeats are not on either list:
+  // sites send them and the coordinator echoes them.
   const WireInput never_from_site[] = {
       WireInput::kInRoundAdvance, WireInput::kInEventBatch,
       WireInput::kInCloseCommands, WireInput::kInCloseEvents};
@@ -239,28 +136,41 @@ TEST(ProtocolSpecTable, DirectionalOwnership) {
       WireInput::kInUpdateBundle, WireInput::kInCloseUpdates,
       WireInput::kInStatsReport, WireInput::kInTraceChunk};
   for (ProtocolState state : kAllProtocolStates) {
-    for (uint8_t version : kAllVersions) {
-      for (WireInput input : never_from_site) {
-        EXPECT_EQ(LookupRule(state, kS2C, input, version).verdict,
-                  ProtocolVerdict::kViolation)
-            << "a site may not send " << WireInputName(input);
-      }
-      for (WireInput input : never_from_coordinator) {
-        EXPECT_EQ(LookupRule(state, kC2S, input, version).verdict,
-                  ProtocolVerdict::kViolation)
-            << "the coordinator may not send " << WireInputName(input);
-      }
+    for (WireInput input : never_from_site) {
+      EXPECT_EQ(LookupRule(state, kS2C, input).verdict,
+                ProtocolVerdict::kViolation)
+          << "a site may not send " << WireInputName(input);
+    }
+    for (WireInput input : never_from_coordinator) {
+      EXPECT_EQ(LookupRule(state, kC2S, input).verdict,
+                ProtocolVerdict::kViolation)
+          << "the coordinator may not send " << WireInputName(input);
     }
   }
 }
 
 TEST(ProtocolSpecTable, OutOfRangeVersionsRejectEverything) {
+  // The table has no version axis; the hello's version claim is checked on
+  // top of it. A hello claiming a version outside the one this build speaks
+  // is never accepted — as a first hello or as the coordinator's reply —
+  // and the connection it arrives on accepts nothing afterwards.
   for (uint8_t version : {uint8_t{0}, uint8_t{6}, uint8_t{200}, uint8_t{255}}) {
-    for (ProtocolState state : kAllProtocolStates) {
-      for (ProtocolDirection direction : kAllProtocolDirections) {
+    for (ProtocolDirection direction : kAllProtocolDirections) {
+      for (ProtocolState initial :
+           {ProtocolState::kAwaitingHello, ProtocolState::kActive}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "hello v" << int(version) << " "
+                     << ProtocolDirectionName(direction) << " in "
+                     << ProtocolStateName(initial));
+        ProtocolConformance conformance(direction, initial);
+        Frame hello = MakeHello(1);
+        hello.protocol_version = version;
+        EXPECT_NE(conformance.OnFrame(hello), ProtocolVerdict::kAccept);
+        ASSERT_EQ(conformance.state(), ProtocolState::kClosed);
         for (WireInput input : kAllWireInputs) {
-          EXPECT_EQ(LookupRule(state, direction, input, version).verdict,
-                    ProtocolVerdict::kViolation);
+          EXPECT_EQ(LookupRule(conformance.state(), direction, input).verdict,
+                    ProtocolVerdict::kViolation)
+              << WireInputName(input);
         }
       }
     }
@@ -268,37 +178,34 @@ TEST(ProtocolSpecTable, OutOfRangeVersionsRejectEverything) {
 }
 
 TEST(ProtocolSpecTable, NoUnreachableStates) {
-  // Fixed-point reachability from kAwaitingHello per (direction, version):
-  // accept edges plus the implicit violation edge to kClosed. Every state
-  // must be reachable — an unreachable state would be dead spec.
+  // Fixed-point reachability from kAwaitingHello per direction: accept
+  // edges plus the implicit violation edge to kClosed. Every state must be
+  // reachable — an unreachable state would be dead spec.
   for (ProtocolDirection direction : kAllProtocolDirections) {
-    for (uint8_t version : kAllVersions) {
-      std::set<ProtocolState> reached = {ProtocolState::kAwaitingHello};
-      bool grew = true;
-      while (grew) {
-        grew = false;
-        for (ProtocolState state : kAllProtocolStates) {
-          if (reached.count(state) == 0) continue;
-          for (WireInput input : kAllWireInputs) {
-            const FrameRule& rule = LookupRule(state, direction, input, version);
-            if (reached.insert(rule.next).second) grew = true;
-          }
+    std::set<ProtocolState> reached = {ProtocolState::kAwaitingHello};
+    bool grew = true;
+    while (grew) {
+      grew = false;
+      for (ProtocolState state : kAllProtocolStates) {
+        if (reached.count(state) == 0) continue;
+        for (WireInput input : kAllWireInputs) {
+          const FrameRule& rule = LookupRule(state, direction, input);
+          if (reached.insert(rule.next).second) grew = true;
         }
       }
-      EXPECT_EQ(reached.size(), kNumProtocolStates)
-          << ProtocolDirectionName(direction) << " v" << int(version)
-          << " leaves states unreachable";
-      // And specifically: the happy path reaches Draining via an ACCEPT,
-      // not just via violations.
-      const WireInput terminal_close =
-          direction == ProtocolDirection::kSiteToCoordinator
-              ? WireInput::kInCloseUpdates
-              : WireInput::kInCloseCommands;
-      const FrameRule& rule = LookupRule(ProtocolState::kActive, direction,
-                                         terminal_close, version);
-      EXPECT_EQ(rule.verdict, ProtocolVerdict::kAccept);
-      EXPECT_EQ(rule.next, ProtocolState::kDraining);
     }
+    EXPECT_EQ(reached.size(), kNumProtocolStates)
+        << ProtocolDirectionName(direction) << " leaves states unreachable";
+    // And specifically: the happy path reaches Draining via an ACCEPT, not
+    // just via violations.
+    const WireInput terminal_close =
+        direction == ProtocolDirection::kSiteToCoordinator
+            ? WireInput::kInCloseUpdates
+            : WireInput::kInCloseCommands;
+    const FrameRule& rule =
+        LookupRule(ProtocolState::kActive, direction, terminal_close);
+    EXPECT_EQ(rule.verdict, ProtocolVerdict::kAccept);
+    EXPECT_EQ(rule.next, ProtocolState::kDraining);
   }
 }
 
@@ -414,7 +321,7 @@ TEST(ProtocolConformanceTest, OnHelloSentArmsTheConnectingSide) {
 TEST(ProtocolConformanceTest, MalformedFrameIsTerminal) {
   MetricsRegistry::Global().ResetForTest();
   ProtocolConformance conformance(ProtocolDirection::kSiteToCoordinator,
-                                  kProtocolVersion, ProtocolState::kActive);
+                                  ProtocolState::kActive);
   EXPECT_EQ(conformance.OnMalformedFrame(), ProtocolVerdict::kViolation);
   EXPECT_EQ(conformance.state(), ProtocolState::kClosed);
   EXPECT_EQ(conformance.OnFrame(MakeFrame(UpdateBundle{})),
@@ -458,7 +365,7 @@ TEST(ProtocolConformanceTest, BindSiteIdArmsConnectionsConstructedActive) {
   // Connections that skip OnFrame's hello (the reactor transport does its
   // handshake in the accept loop, then constructs kActive) bind explicitly.
   ProtocolConformance conformance(ProtocolDirection::kSiteToCoordinator,
-                                  kProtocolVersion, ProtocolState::kActive);
+                                  ProtocolState::kActive);
   EXPECT_EQ(conformance.bound_site(), -1);
   conformance.BindSiteId(4);
   EXPECT_EQ(conformance.bound_site(), 4);
@@ -470,7 +377,7 @@ TEST(ProtocolConformanceTest, BindSiteIdArmsConnectionsConstructedActive) {
 
 TEST(ProtocolConformanceTest, UnboundConnectionSkipsThePayloadSiteCheck) {
   ProtocolConformance conformance(ProtocolDirection::kSiteToCoordinator,
-                                  kProtocolVersion, ProtocolState::kActive);
+                                  ProtocolState::kActive);
   SiteStatsReport stats;
   stats.site = 7;  // Any site id passes while nothing is bound.
   EXPECT_EQ(conformance.OnFrame(MakeStatsReport(stats)),
@@ -480,7 +387,7 @@ TEST(ProtocolConformanceTest, UnboundConnectionSkipsThePayloadSiteCheck) {
 
 TEST(ProtocolConformanceTest, MarkClosedIsNotAViolation) {
   ProtocolConformance conformance(ProtocolDirection::kSiteToCoordinator,
-                                  kProtocolVersion, ProtocolState::kActive);
+                                  ProtocolState::kActive);
   conformance.MarkClosed();
   EXPECT_EQ(conformance.state(), ProtocolState::kClosed);
   EXPECT_EQ(conformance.violations(), 0u);
@@ -489,25 +396,27 @@ TEST(ProtocolConformanceTest, MarkClosedIsNotAViolation) {
   EXPECT_EQ(conformance.violations(), 1u);
 }
 
-// --- v5 negotiation: downgrades, capabilities, compression ---------------
+// --- Versions, capabilities, compression ----------------------------------
 
-TEST(ProtocolConformanceTest, V4HelloNegotiatesTheConnectionDown) {
-  ProtocolConformance conformance(ProtocolDirection::kSiteToCoordinator);
-  ASSERT_EQ(conformance.version(), kProtocolVersion);
-  Frame hello = MakeHello(1);
-  hello.protocol_version = 4;
-  hello.caps = 0;
-  EXPECT_EQ(conformance.OnFrame(hello), ProtocolVerdict::kAccept);
-  EXPECT_EQ(conformance.negotiated_version(), 4);
-  EXPECT_EQ(conformance.peer_caps(), 0u);
-  // v4 traffic flows as ever.
-  EXPECT_EQ(conformance.OnFrame(MakeFrame(UpdateBundle{})),
-            ProtocolVerdict::kAccept);
+TEST(ProtocolConformanceTest, AnyOtherHelloVersionIsAVersionMismatch) {
+  // One wire version: a first hello claiming any other — older or newer —
+  // is the same deployment error, counted and terminal.
+  for (uint8_t version :
+       {uint8_t{4}, uint8_t{0}, uint8_t{255},
+        static_cast<uint8_t>(kProtocolVersion + 1)}) {
+    SCOPED_TRACE(::testing::Message() << "hello v" << int(version));
+    ProtocolConformance conformance(ProtocolDirection::kSiteToCoordinator);
+    Frame hello = MakeHello(1);
+    hello.protocol_version = version;
+    EXPECT_EQ(conformance.OnFrame(hello), ProtocolVerdict::kVersionMismatch);
+    EXPECT_EQ(conformance.state(), ProtocolState::kClosed);
+    EXPECT_EQ(conformance.violations(), 1u);
+  }
 }
 
 TEST(ProtocolConformanceTest, TooOldHelloIsStillAVersionMismatch) {
-  // kMinNegotiableVersion bounds the downgrade: v3 changed frame bodies, so
-  // a v3 hello at a v5 endpoint is the same deployment error it always was.
+  // v3 changed frame bodies, so a v3 hello is the same deployment error it
+  // always was: reported as a mismatch, not dropped as line noise.
   ProtocolConformance conformance(ProtocolDirection::kSiteToCoordinator);
   Frame hello = MakeHello(0);
   hello.protocol_version = 3;
@@ -516,27 +425,29 @@ TEST(ProtocolConformanceTest, TooOldHelloIsStillAVersionMismatch) {
 }
 
 TEST(ProtocolConformanceTest, ForgedCompressedFlagFromV4PeerIsTerminal) {
-  // The model-checked forgery: a peer that negotiated v4 ships a frame
-  // inside a kCompressed envelope anyway. The wrapper rule is checked FIRST
-  // (kInCompressed has no row below v5), so the inner frame being otherwise
-  // legal does not save it.
+  // A v4 peer's hello that arrives inside a kCompressed envelope: the
+  // wrapper rule is checked FIRST (no envelope before the hello), so the
+  // frame is an ordinary violation, not a version mismatch the transport
+  // would report as a deployment error.
   MetricsRegistry::Global().ResetForTest();
   ProtocolConformance conformance(ProtocolDirection::kSiteToCoordinator);
   Frame hello = MakeHello(1);
   hello.protocol_version = 4;
-  ASSERT_EQ(conformance.OnFrame(hello), ProtocolVerdict::kAccept);
+  hello.compressed = true;
+  EXPECT_EQ(conformance.OnFrame(hello), ProtocolVerdict::kViolation);
+  EXPECT_EQ(conformance.state(), ProtocolState::kClosed);
+  EXPECT_EQ(conformance.violations(), 1u);
+  // Terminal: the peer's next (wrapped) frame is rejected too.
   Frame wrapped = MakeFrame(UpdateBundle{});
   wrapped.compressed = true;
   EXPECT_EQ(conformance.OnFrame(wrapped), ProtocolVerdict::kViolation);
-  EXPECT_EQ(conformance.state(), ProtocolState::kClosed);
-  EXPECT_EQ(conformance.violations(), 1u);
+  EXPECT_EQ(conformance.violations(), 2u);
 }
 
 TEST(ProtocolConformanceTest, CompressedFramesFlowOnAV5Connection) {
   ProtocolConformance conformance(ProtocolDirection::kSiteToCoordinator);
   ASSERT_EQ(conformance.OnFrame(MakeHello(1, kCapCompression)),
             ProtocolVerdict::kAccept);
-  EXPECT_EQ(conformance.negotiated_version(), kProtocolVersion);
   EXPECT_EQ(conformance.peer_caps(), kCapCompression);
   Frame wrapped = MakeFrame(UpdateBundle{});
   wrapped.compressed = true;
@@ -551,7 +462,7 @@ TEST(ProtocolConformanceTest, CompressedFramesFlowOnAV5Connection) {
 
 TEST(ProtocolConformanceTest, ReplyHelloIsStatePreservingAndCarriesCaps) {
   // The site side: its own hello armed the machine (OnHelloSent); the
-  // coordinator's v5 capability reply-hello then lands in kActive, must not
+  // coordinator's capability reply-hello then lands in kActive, must not
   // disturb the state, and delivers the coordinator's capability bits.
   ProtocolConformance conformance(ProtocolDirection::kCoordinatorToSite);
   conformance.OnHelloSent();
@@ -566,23 +477,13 @@ TEST(ProtocolConformanceTest, ReplyHelloIsStatePreservingAndCarriesCaps) {
 
 TEST(ProtocolConformanceTest, ReplyHelloClaimingAncientVersionIsTerminal) {
   // The reply-hello row is in the table, but the frame's own version claim
-  // still has to be one this endpoint can run.
+  // still has to be ours.
   ProtocolConformance conformance(ProtocolDirection::kCoordinatorToSite);
   conformance.OnHelloSent();
   Frame hello = MakeHello(0);
   hello.protocol_version = 2;
   EXPECT_EQ(conformance.OnFrame(hello), ProtocolVerdict::kViolation);
   EXPECT_EQ(conformance.state(), ProtocolState::kClosed);
-}
-
-TEST(ProtocolConformanceTest, V4PinnedEndpointStillDemandsAnExactMatch) {
-  // An endpoint explicitly pinned to v4 (as an actual v4 build would be)
-  // must reject a v5 hello: negotiation only runs DOWN from the newer end.
-  ProtocolConformance conformance(ProtocolDirection::kSiteToCoordinator,
-                                  /*version=*/4);
-  Frame hello = MakeHello(0);
-  hello.protocol_version = 5;
-  EXPECT_EQ(conformance.OnFrame(hello), ProtocolVerdict::kVersionMismatch);
 }
 
 // --- ProtocolStreamChecker ------------------------------------------------

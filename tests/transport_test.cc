@@ -1,7 +1,7 @@
 // Shared conformance suite for cluster transports: every behavior the
 // cluster nodes rely on, asserted against every wiring (in-process
-// loopback, the reactor transport on each readiness backend, and the
-// kLocalTcp site-role wiring) through the same parameterized tests. A new
+// loopback, the reactor transport, and the kLocalTcp site-role wiring)
+// through the same parameterized tests. A new
 // transport earns its place by passing this suite.
 
 #include <gtest/gtest.h>
@@ -29,19 +29,12 @@ namespace {
 struct TransportParam {
   const char* name;
   TransportFactory factory;
-  /// Entries that need a readiness backend the kernel may refuse (io_uring)
-  /// skip instead of silently testing the epoll fallback twice.
-  bool requires_io_uring = false;
+  /// Socket wirings report the wire bytes they move; loopback moves none.
+  bool measures_wire_bytes;
 };
 
 class TransportConformanceTest : public ::testing::TestWithParam<TransportParam> {
  protected:
-  void SetUp() override {
-    if (GetParam().requires_io_uring && !IoUringAvailable()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel";
-    }
-  }
-
   std::unique_ptr<ClusterTransport> Make(int num_sites) {
     return GetParam().factory(num_sites);
   }
@@ -180,6 +173,11 @@ TEST_P(TransportConformanceTest, LargeFrameSurvivesIntact) {
   ASSERT_EQ(got.size(), 1u);
   EXPECT_TRUE(got[0] == expected);
   transport->Shutdown();
+  const TransportStats stats = transport->stats();
+  EXPECT_EQ(stats.measured, GetParam().measures_wire_bytes);
+  if (stats.measured) {
+    EXPECT_GT(stats.bytes_down, 0u);
+  }
 }
 
 TEST_P(TransportConformanceTest, ConcurrentBidirectionalTraffic) {
@@ -227,22 +225,16 @@ TEST_P(TransportConformanceTest, ShutdownIsIdempotent) {
 INSTANTIATE_TEST_SUITE_P(
     AllTransports, TransportConformanceTest,
     ::testing::Values(
-        TransportParam{"Loopback", MakeLoopbackTransport},
+        TransportParam{"Loopback", MakeLoopbackTransport,
+                       /*measures_wire_bytes=*/false},
         // The kLocalTcp backend's wiring: the coordinator's accept loop plus
         // one client-side connection and event loop per site.
-        TransportParam{"LocalTcp", MakeSiteRoleTransport},
-        // The reactor runs once per readiness backend: epoll is always
-        // there; the io_uring entry skips (not passes) when the kernel
-        // refuses rings, so CI records which backend actually ran.
+        TransportParam{"LocalTcp", MakeSiteRoleTransport,
+                       /*measures_wire_bytes=*/true},
+        // Both ends on the edge-triggered epoll reactor, in one process.
         TransportParam{"ReactorEpoll",
-                       [](int n) {
-                         return MakeReactorTransport(n, IoBackendKind::kEpoll);
-                       }},
-        TransportParam{"ReactorIoUring",
-                       [](int n) {
-                         return MakeReactorTransport(n, IoBackendKind::kIoUring);
-                       },
-                       /*requires_io_uring=*/true}),
+                       [](int n) { return MakeReactorTransport(n); },
+                       /*measures_wire_bytes=*/true}),
     [](const ::testing::TestParamInfo<TransportParam>& info) {
       return std::string(info.param.name);
     });
@@ -252,7 +244,7 @@ INSTANTIATE_TEST_SUITE_P(
 // The coordinator's accept loop (ReactorCoordinator::AcceptSites) against
 // raw peers: a version-mismatched hello is a deployment error, a peer that
 // speaks before its hello is a stray to drop, and a current-version site
-// gets the v5 capability reply-hello.
+// gets the capability reply-hello.
 
 /// Liveness off: these peers send no heartbeats.
 ReactorCoordinator::Options NoLivenessOptions() {
@@ -679,59 +671,11 @@ TEST(ProtocolConformanceReactorAcceptTest, SyncBeforeHelloIsCountedAsStray) {
   real_site.join();
 }
 
-// --- v5 wire negotiation: mixed versions and compression -------------------
-
-TEST(MixedVersionTest, V4SiteRunsUncompressedAgainstV5Coordinator) {
-  // A genuine v4 site against this (v5) coordinator: the hello negotiates
-  // the connection down to v4 — no capability reply-hello (that row is
-  // version-gated; a v4 peer would call it a violation), no caps, and every
-  // outbound batch stays raw no matter how compressible.
-  StatusOr<TcpListener> listener = TcpListener::Listen(0, 4);
-  ASSERT_TRUE(listener.ok()) << listener.status();
-  const int port = listener->port();
-
-  std::atomic<bool> got_raw_batch{false};
-  std::thread v4_site([port, &got_raw_batch] {
-    StatusOr<TcpSocket> socket = TcpSocket::Connect("127.0.0.1", port);
-    if (!socket.ok()) return;
-    Frame hello = MakeHello(/*site=*/0);
-    hello.protocol_version = 4;  // The encoder omits the caps varint at v4.
-    hello.caps = 0;
-    std::vector<uint8_t> bytes;
-    AppendFrame(hello, &bytes);
-    if (!socket->SendAll(bytes.data(), bytes.size()).ok()) return;
-    // The FIRST frame back must be the raw event batch: nothing (especially
-    // not a reply-hello or a kCompressed envelope) may precede it.
-    uint8_t prefix[4];
-    if (!socket->RecvAll(prefix, 4).ok()) return;
-    std::vector<uint8_t> payload(DecodeLengthPrefix(prefix));
-    if (!socket->RecvAll(payload.data(), payload.size()).ok()) return;
-    if (payload.empty() ||
-        payload[0] != static_cast<uint8_t>(FrameType::kEventBatch)) {
-      return;
-    }
-    Frame frame;
-    if (!DecodeFramePayload(payload.data(), payload.size(), &frame).ok()) return;
-    got_raw_batch.store(!frame.compressed && frame.batch.values.size() == 4096,
-                        std::memory_order_relaxed);
-  });
-
-  ReactorCoordinator coordinator(1, NoLivenessOptions());
-  const Status accepted = coordinator.AcceptSites(&listener.value());
-  ASSERT_TRUE(accepted.ok()) << accepted;
-  EventBatch batch;
-  batch.num_events = 4096;
-  batch.values.assign(4096, 7);  // Maximally compressible — must ship raw.
-  ASSERT_TRUE(coordinator.events(0)->Push(std::move(batch)));
-  v4_site.join();
-  EXPECT_TRUE(got_raw_batch.load(std::memory_order_relaxed));
-  listener->Close();
-  coordinator.Shutdown();
-}
+// --- Wire compression ------------------------------------------------------
 
 TEST(WireCompressionTest, V5PeersCompressEligibleBatchesEndToEnd) {
-  // Both ends of the kLocalTcp wiring speak v5 with the process-wide switch
-  // on (the default), so a repetitive batch must cross the wire inside an
+  // Both ends of the kLocalTcp wiring advertise compression with the
+  // process-wide switch on (the default), so a repetitive batch must cross the wire inside an
   // envelope — visible through the net.compress instruments — and decode to
   // the identical batch on the far side.
   MetricsRegistry::Global().ResetForTest();
