@@ -43,6 +43,27 @@ std::vector<uint8_t> Encode(const Frame& frame) {
   return bytes;
 }
 
+/// Appends `frame` inside a kCompressed envelope whether or not it is
+/// eligible — the bytes a peer that compresses event batches would send.
+void AppendWrapped(const Frame& frame, std::vector<uint8_t>* out) {
+  const std::vector<uint8_t> raw = Encode(frame);
+  std::vector<uint8_t> payload = {static_cast<uint8_t>(FrameType::kCompressed)};
+  AppendVarint(raw.size() - 4, &payload);
+  LzCompress(raw.data() + 4, raw.size() - 4, &payload);
+  for (int i = 0; i < 4; ++i) {
+    out->push_back(static_cast<uint8_t>(payload.size() >> (8 * i)));
+  }
+  out->insert(out->end(), payload.begin(), payload.end());
+}
+
+/// A large event batch LZ would shrink, for the envelope seeds.
+EventBatch RepetitiveBatch() {
+  EventBatch big;
+  big.num_events = 512;
+  big.values.assign(2048, 1);
+  return big;
+}
+
 /// One representative valid frame per wire type, with non-trivial fields.
 std::vector<Frame> RepresentativeFrames() {
   UpdateBundle bundle;
@@ -217,6 +238,13 @@ void GenProtocolStream(const fs::path& dir) {
     WriteSeed(dir, "viol-forged-trace.bin",
               stream(0, {MakeHello(0), MakeTraceChunk(forged_trace)}));
   }
+  // An event batch in a compression envelope: the coordinator has no
+  // eligible cargo, so a wrapped frame from it is a violation.
+  {
+    std::vector<uint8_t> bytes = stream(1, {MakeHello(0), MakeFrame(batch)});
+    AppendWrapped(MakeFrame(RepetitiveBatch()), &bytes);
+    WriteSeed(dir, "viol-compressed-c2s.bin", bytes);
+  }
   // Version-mismatched hello.
   {
     Frame old_hello = MakeHello(0);
@@ -238,17 +266,20 @@ void GenProtocolStream(const fs::path& dir) {
   }
 }
 
-/// Raw payload textures the wire actually carries, for the compressor
-/// harnesses: an encoded event-batch frame (tiny alphabet, highly
-/// repetitive), a pure run, interleaved repeats, and incompressible noise.
+/// Raw payload textures for the compressor harnesses: an encoded
+/// final-count bundle (the one frame kind the wire compresses: dense ids,
+/// counts in one varint band), a pure run, interleaved repeats, and
+/// incompressible noise.
 std::vector<std::vector<uint8_t>> CompressiblePayloads() {
   std::vector<std::vector<uint8_t>> payloads;
-  EventBatch batch;
-  batch.num_events = 256;
-  for (int i = 0; i < 1024; ++i) {
-    batch.values.push_back(static_cast<uint8_t>(i % 3));
+  UpdateBundle finals;
+  finals.kind = UpdateBundle::Kind::kFinalCounts;
+  finals.site = 1;
+  for (int64_t c = 0; c < 256; ++c) {
+    finals.reports.push_back(
+        CounterReport{c, 40000 + static_cast<uint32_t>(c % 3)});
   }
-  payloads.push_back(Encode(MakeFrame(std::move(batch))));
+  payloads.push_back(Encode(MakeFrame(std::move(finals))));
   payloads.push_back(std::vector<uint8_t>(512, 0x61));
   {
     std::vector<uint8_t> interleaved;
@@ -355,16 +386,14 @@ void GenReactorStream(const fs::path& dir) {
             stream(1, {MakeFrame(batch), MakeFrame(advance),
                        MakeChannelClose(FrameType::kEventBatch),
                        MakeChannelClose(FrameType::kRoundAdvance)}));
-  // A compressed envelope mid-stream: a big compressible batch that
-  // AppendFrameMaybeCompressed provably wraps, between raw frames.
+  // A compressed envelope mid-stream from the coordinator, between raw
+  // frames: it has no eligible cargo, so the reactor must drop the
+  // connection cleanly.
   {
-    EventBatch big;
-    big.num_events = 512;
-    big.values.assign(2048, 1);
     std::vector<uint8_t> bytes = stream(1, {MakeFrame(batch)});
-    AppendFrameMaybeCompressed(MakeFrame(std::move(big)), &bytes);
+    AppendWrapped(MakeFrame(RepetitiveBatch()), &bytes);
     AppendFrame(MakeFrame(advance), &bytes);
-    WriteSeed(dir, "legal-c2s-compressed.bin", bytes);
+    WriteSeed(dir, "viol-compressed-c2s.bin", bytes);
     // A wrapped final-count bundle after the site closed its update lane:
     // data past the terminal close is a model-checked violation, wrapped
     // or not, and the reactor must turn it into a clean drop.

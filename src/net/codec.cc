@@ -1,5 +1,6 @@
 #include "net/codec.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "net/compress.h"
@@ -152,10 +153,85 @@ Status DecodeAdvanceBody(ByteReader* reader, RoundAdvance* out) {
   return reader->ReadFloat(&out->probability);
 }
 
+/// Bits needed for a column whose values span [min, min + span]: 0 for a
+/// constant column, 32 for one holding both INT32_MIN and INT32_MAX.
+uint8_t BitWidth(uint32_t span) {
+  return span == 0 ? 0 : static_cast<uint8_t>(32 - __builtin_clz(span));
+}
+
+/// One column of a packed event batch: its minimum and its bit width.
+struct PackedColumn {
+  int32_t min = 0;
+  uint8_t width = 0;
+};
+
+// Event batch body, column bit-packed:
+//
+//   zigzag num_events | varint count
+//   if count > 0: varint stride | stride x (zigzag min | u8 width) | bits
+//
+// A batch is count / stride rows of `stride` values (one row per event when
+// num_events divides count; else stride 1, so every EventBatch encodes).
+// Each value is stored as value - min in its column's width bits, LSB-first
+// and row by row, and the bit stream is padded to a whole byte. A network's
+// variables have few states, so most columns take 1-2 bits per value.
 void AppendBatchBody(const EventBatch& batch, std::vector<uint8_t>* out) {
   AppendZigzag(batch.num_events, out);
-  AppendVarint(batch.values.size(), out);
-  for (int32_t value : batch.values) AppendZigzag(value, out);
+  const size_t count = batch.values.size();
+  DSGM_CHECK_LE(count, kMaxFramePayload);  // The decoder's cap.
+  AppendVarint(count, out);
+  if (count == 0) return;
+  const size_t num_events = static_cast<size_t>(batch.num_events);
+  const size_t stride =
+      num_events > 0 && count % num_events == 0 ? count / num_events : 1;
+  const size_t rows = count / stride;
+  AppendVarint(stride, out);
+  const int32_t* values = batch.values.data();
+
+  std::vector<int32_t> maxs(values, values + stride);
+  std::vector<PackedColumn> columns(stride);
+  for (size_t c = 0; c < stride; ++c) columns[c].min = values[c];
+  for (size_t r = 1; r < rows; ++r) {
+    const int32_t* row = values + r * stride;
+    for (size_t c = 0; c < stride; ++c) {
+      columns[c].min = std::min(columns[c].min, row[c]);
+      maxs[c] = std::max(maxs[c], row[c]);
+    }
+  }
+  uint64_t row_bits = 0;
+  for (size_t c = 0; c < stride; ++c) {
+    columns[c].width = BitWidth(static_cast<uint32_t>(maxs[c]) -
+                                static_cast<uint32_t>(columns[c].min));
+    row_bits += columns[c].width;
+    AppendZigzag(columns[c].min, out);
+    out->push_back(columns[c].width);
+  }
+
+  const size_t at = out->size();
+  out->resize(at + static_cast<size_t>((rows * row_bits + 7) / 8));
+  uint8_t* dst = out->data() + at;
+  uint64_t acc = 0;
+  int bits = 0;  // Pending bits in acc; < 32 between values.
+  for (size_t r = 0; r < rows; ++r) {
+    const int32_t* row = values + r * stride;
+    for (size_t c = 0; c < stride; ++c) {
+      acc |= static_cast<uint64_t>(static_cast<uint32_t>(row[c]) -
+                                   static_cast<uint32_t>(columns[c].min))
+             << bits;
+      bits += columns[c].width;
+      if (bits >= 32) {
+        for (int i = 0; i < 4; ++i) {
+          *dst++ = static_cast<uint8_t>(acc >> (8 * i));
+        }
+        acc >>= 32;
+        bits -= 32;
+      }
+    }
+  }
+  for (; bits > 0; bits -= 8) {
+    *dst++ = static_cast<uint8_t>(acc);
+    acc >>= 8;
+  }
 }
 
 void AppendStatsBody(const SiteStatsReport& stats, std::vector<uint8_t>* out) {
@@ -251,15 +327,76 @@ Status DecodeBatchBody(ByteReader* reader, EventBatch* out) {
   uint64_t count = 0;
   DSGM_RETURN_IF_ERROR(reader->ReadVarint(&count));
   out->values.clear();
-  out->values.reserve(SafeReserve(count, reader->remaining(), 1));
-  for (uint64_t i = 0; i < count; ++i) {
-    int64_t value = 0;
-    DSGM_RETURN_IF_ERROR(reader->ReadZigzag(&value));
-    if (value < INT32_MIN || value > INT32_MAX) {
-      return InvalidArgumentError("codec: EventBatch value out of range");
-    }
-    out->values.push_back(static_cast<int32_t>(value));
+  if (count == 0) return Status::Ok();
+  // Zero-width columns cost no body bytes, so the byte checks below cannot
+  // bound a forged count: cap it before anything is sized by it.
+  if (count > kMaxFramePayload) {
+    return InvalidArgumentError("codec: EventBatch value count out of range");
   }
+  uint64_t stride = 0;
+  DSGM_RETURN_IF_ERROR(reader->ReadVarint(&stride));
+  // Every column header takes at least two bytes (min, width).
+  if (stride == 0 || stride > count || count % stride != 0 ||
+      stride > reader->remaining() / 2) {
+    return InvalidArgumentError("codec: EventBatch stride out of range");
+  }
+  std::vector<PackedColumn> columns(static_cast<size_t>(stride));
+  uint64_t row_bits = 0;
+  for (PackedColumn& column : columns) {
+    int64_t min = 0;
+    DSGM_RETURN_IF_ERROR(reader->ReadZigzag(&min));
+    if (min < INT32_MIN || min > INT32_MAX) {
+      return InvalidArgumentError("codec: EventBatch column min out of range");
+    }
+    column.min = static_cast<int32_t>(min);
+    DSGM_RETURN_IF_ERROR(reader->ReadU8(&column.width));
+    if (column.width > 32) {
+      return InvalidArgumentError("codec: EventBatch column width over 32");
+    }
+    row_bits += column.width;
+  }
+  const size_t rows = static_cast<size_t>(count / stride);
+  const uint64_t body_bytes = (rows * row_bits + 7) / 8;
+  if (reader->remaining() != body_bytes) {
+    return InvalidArgumentError("codec: EventBatch packed body size mismatch");
+  }
+
+  out->values.resize(static_cast<size_t>(count));
+  int32_t* dst = out->values.data();
+  const uint8_t* src = reader->cursor();
+  const uint8_t* const end = src + body_bytes;
+  uint64_t acc = 0;
+  int bits = 0;  // Unread bits in acc; < 32 before each refill.
+  for (size_t r = 0; r < rows; ++r) {
+    for (const PackedColumn& column : columns) {
+      if (bits < column.width) {
+        if (end - src >= 4) {
+          acc |= (static_cast<uint64_t>(src[0]) |
+                  static_cast<uint64_t>(src[1]) << 8 |
+                  static_cast<uint64_t>(src[2]) << 16 |
+                  static_cast<uint64_t>(src[3]) << 24)
+                 << bits;
+          src += 4;
+          bits += 32;
+        } else {
+          // The size check above guarantees the tail holds these bits.
+          for (; bits < column.width && src < end; bits += 8) {
+            acc |= static_cast<uint64_t>(*src++) << bits;
+          }
+        }
+      }
+      const int64_t value =
+          column.min +
+          static_cast<int64_t>(acc & ((uint64_t{1} << column.width) - 1));
+      if (value > INT32_MAX) {
+        return InvalidArgumentError("codec: EventBatch value out of range");
+      }
+      *dst++ = static_cast<int32_t>(value);
+      acc >>= column.width;
+      bits -= column.width;
+    }
+  }
+  reader->SkipRemaining();
   return Status::Ok();
 }
 
@@ -497,9 +634,8 @@ Status DecodeFramePayload(const uint8_t* data, size_t size, Frame* out) {
 }
 
 bool CompressionEligible(const Frame& frame) {
-  return frame.type == FrameType::kEventBatch ||
-         (frame.type == FrameType::kUpdateBundle &&
-          frame.bundle.kind == UpdateBundle::Kind::kFinalCounts);
+  return frame.type == FrameType::kUpdateBundle &&
+         frame.bundle.kind == UpdateBundle::Kind::kFinalCounts;
 }
 
 void AppendFrameMaybeCompressed(const Frame& frame, std::vector<uint8_t>* out) {

@@ -7,7 +7,9 @@
 //
 // with varint (LEB128) packed bodies; signed integers use zigzag coding and
 // counter ids inside a bundle are delta-coded (sync bundles enumerate dense
-// counter ranges, so deltas collapse to one byte each). Four frame types
+// counter ranges, so deltas collapse to one byte each). Event batches are
+// column bit-packed instead: per-column min and bit width, then each value
+// as value - min in that many bits (codec.cc has the layout). Four frame types
 // carry the net/wire.h messages (kStatsReport is the observability one);
 // two more (kChannelClose, kHello) are transport control frames that never
 // reach application code.
@@ -50,7 +52,8 @@ enum class FrameType : uint8_t {
 /// id. It is the only version either end speaks: bump it on any
 /// frame-format change. The accepting side rejects a hello for any other
 /// version with a clear Status instead of misparsing later frames.
-constexpr uint8_t kProtocolVersion = 5;
+/// v6: event batches are column bit-packed and never compressed.
+constexpr uint8_t kProtocolVersion = 6;
 
 /// kHello capability bits (carried in the trailing caps varint).
 constexpr uint64_t kCapCompression = 1;
@@ -122,9 +125,10 @@ constexpr uint32_t DecodeLengthPrefix(const uint8_t* data) {
 /// Appends the length prefix plus encoded payload of `frame` to `out`.
 void AppendFrame(const Frame& frame, std::vector<uint8_t>* out);
 
-/// True for the frame kinds the compression envelope may carry: event
-/// batches and final-count bundles — the bulk-data frames whose varint
-/// payloads still tile repetitively. Control and liveness frames stay raw.
+/// True for the frame kinds the compression envelope may carry: final-count
+/// bundles, the one bulk varint payload that still tiles repetitively.
+/// Event batches are already bit-packed; control and liveness frames and
+/// kReports/kSync bundles stay raw.
 bool CompressionEligible(const Frame& frame);
 
 /// Like AppendFrame, but when `frame` is CompressionEligible, the

@@ -1,9 +1,11 @@
 // In-tree LZ byte codec for negotiated wire compression.
 //
-// Low-cardinality event batches and final-count bundles are varint-packed
-// but still carry highly repetitive residual structure (the same few small
-// values tile every event). A tiny LZ77 pass over the encoded payload
-// recovers that redundancy without any external dependency.
+// Final-count bundles are varint-packed but still carry highly repetitive
+// residual structure (dense counter ids, counts in the same varint band).
+// A tiny LZ77 pass over the encoded payload recovers that redundancy
+// without any external dependency. Event batches are not compressed: the
+// codec bit-packs them, which is both smaller and cheaper than LZ over a
+// byte-per-value encoding.
 //
 // Format (LZ4-flavored, byte-oriented, no framing of its own):
 //

@@ -86,12 +86,7 @@ constexpr AllowRow kAllowedTransitions[] = {
     // state-preserving and idempotent.
     {ProtocolState::kActive, kC2S, WireInput::kInHello,
      ProtocolState::kActive},
-    // Compressed envelopes C2S wrap event batches, which stay legal as
-    // stragglers through Draining.
-    {ProtocolState::kActive, kC2S, WireInput::kInCompressed,
-     ProtocolState::kActive},
-    {ProtocolState::kDraining, kC2S, WireInput::kInCompressed,
-     ProtocolState::kDraining},
+    // No kInCompressed rows C2S: the coordinator sends no eligible cargo.
 };
 
 // Dense verdict table, built once from the allow rows.

@@ -21,8 +21,10 @@
 //   kCoordinatorToSite   what a site accepts FROM the coordinator
 //       hello first; then event batches and round-advance commands, plus
 //       heartbeat echoes (the coordinator reflects each site heartbeat so
-//       the site can close the NTP timestamp loop), one state-preserving
-//       capability reply-hello, and compressed event-batch envelopes. The
+//       the site can close the NTP timestamp loop), and one state-preserving
+//       capability reply-hello. Nothing the coordinator sends is eligible
+//       for compression (event batches are bit-packed instead), so a
+//       compression envelope from it is a violation in every state. The
 //       event lane may close while commands continue (dispatcher finishes
 //       before the protocol loop); closing the command lane is the
 //       coordinator's final word (-> Draining), after which only straggler

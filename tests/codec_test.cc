@@ -7,6 +7,8 @@
 
 #include <cstring>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "monitor/comm_stats.h"
@@ -180,6 +182,166 @@ TEST(CodecTest, RandomizedEventBatchRoundTripProperty) {
     const Frame decoded = DecodeOrDie(Encode(MakeFrame(batch)));
     ASSERT_TRUE(decoded.batch == batch) << "iteration " << iteration;
   }
+}
+
+// --- Packed event batches (column min | width, then value - min bits). --
+
+TEST(CodecTest, PackedEventBatchGoldenBytes) {
+  // Three events of three variables. Column 0 spans 0..2 (2 bits), column 1
+  // is constant (0 bits), column 2 spans -2..7 (4 bits): 6 bits per row,
+  // 18 bits in all, padded to 3 bytes. Any layout drift changes these bytes.
+  EventBatch batch;
+  batch.num_events = 3;
+  batch.values = {0, 1, -2, 2, 1, 5, 1, 1, 7};
+  const std::vector<uint8_t> golden = {
+      13, 0, 0, 0,                            // payload length
+      static_cast<uint8_t>(FrameType::kEventBatch),
+      6,                                      // zigzag num_events = 3
+      9,                                      // value count
+      3,                                      // stride (values per event)
+      0, 2,                                   // column 0: min 0, width 2
+      2, 0,                                   // column 1: min 1, width 0
+      3, 4,                                   // column 2: min -2, width 4
+      0x80, 0x57, 0x02};                      // rows, LSB-first
+  EXPECT_EQ(Encode(MakeFrame(batch)), golden);
+  EXPECT_TRUE(DecodeOrDie(golden).batch == batch);
+}
+
+TEST(CodecTest, PackedEventBatchShapesRoundTripProperty) {
+  // Seeded shapes the packer must stay total over: no events, value counts
+  // num_events does not divide (stride 1), negative values, constant
+  // (width 0) columns, and INT32_MIN with INT32_MAX in one column (width 32).
+  Rng rng(20261017);
+  for (int iteration = 0; iteration < 400; ++iteration) {
+    EventBatch batch;
+    const size_t stride = 1 + rng.NextBounded(40);
+    const size_t rows = rng.NextBounded(64);
+    batch.num_events =
+        rng.NextBounded(4) == 0 ? 0 : static_cast<int32_t>(rows);
+    std::vector<int> shape(stride);
+    for (int& kind : shape) kind = static_cast<int>(rng.NextBounded(4));
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t c = 0; c < stride; ++c) {
+        int32_t value = 0;
+        switch (shape[c]) {
+          case 0:  // Constant column.
+            value = static_cast<int32_t>(c) - 7;
+            break;
+          case 1:  // Few states, as in a network's variables.
+            value = static_cast<int32_t>(rng.NextBounded(4));
+            break;
+          case 2:  // Negative values.
+            value = -static_cast<int32_t>(rng.NextBounded(1000)) - 1;
+            break;
+          default:  // Both int32 extremes, so the column is 32 bits wide.
+            value = r % 2 == 0 ? std::numeric_limits<int32_t>::min()
+                               : std::numeric_limits<int32_t>::max();
+            if (rng.NextBounded(3) == 0) {
+              value = static_cast<int32_t>(rng.Next());
+            }
+            break;
+        }
+        batch.values.push_back(value);
+      }
+    }
+    // A ragged tail: the count is no longer a multiple of num_events.
+    if (rng.NextBounded(3) == 0) {
+      batch.values.push_back(static_cast<int32_t>(rng.Next()));
+    }
+    const Frame decoded = DecodeOrDie(Encode(MakeFrame(batch)));
+    ASSERT_TRUE(decoded.batch == batch) << "iteration " << iteration;
+  }
+}
+
+TEST(CodecTest, PackedEventBatchIsCompactForSmallStates) {
+  // 256 events of 37 variables with 2-4 states: the packed body must come
+  // in well under the one byte per value a varint body spends.
+  Rng rng(37);
+  EventBatch batch;
+  batch.num_events = 256;
+  for (int e = 0; e < 256; ++e) {
+    for (int v = 0; v < 37; ++v) {
+      batch.values.push_back(static_cast<int32_t>(rng.NextBounded(2 + v % 3)));
+    }
+  }
+  const std::vector<uint8_t> encoded = Encode(MakeFrame(batch));
+  EXPECT_LT(encoded.size(), batch.values.size() / 3);
+  EXPECT_TRUE(DecodeOrDie(encoded).batch == batch);
+}
+
+/// A hand-built kEventBatch payload: header fields, column headers, and
+/// the raw packed bytes, each a remote claim the decoder must check.
+std::vector<uint8_t> PackedBatchPayload(
+    uint64_t count, uint64_t stride,
+    const std::vector<std::pair<int64_t, uint8_t>>& columns,
+    const std::vector<uint8_t>& bits) {
+  std::vector<uint8_t> payload = {static_cast<uint8_t>(FrameType::kEventBatch)};
+  AppendVarint(ZigzagEncode(1), &payload);  // num_events
+  AppendVarint(count, &payload);
+  AppendVarint(stride, &payload);
+  for (const auto& [min, width] : columns) {
+    AppendVarint(ZigzagEncode(min), &payload);
+    payload.push_back(width);
+  }
+  payload.insert(payload.end(), bits.begin(), bits.end());
+  return payload;
+}
+
+bool DecodesOk(const std::vector<uint8_t>& payload) {
+  Frame frame;
+  return DecodeFramePayload(payload.data(), payload.size(), &frame).ok();
+}
+
+TEST(CodecTest, PackedEventBatchWidthOver32Rejected) {
+  EXPECT_FALSE(DecodesOk(PackedBatchPayload(1, 1, {{0, 33}}, {0, 0, 0, 0, 0})));
+  EXPECT_FALSE(DecodesOk(PackedBatchPayload(1, 1, {{0, 255}}, {})));
+}
+
+TEST(CodecTest, PackedEventBatchBadStrideRejected) {
+  // Zero, larger than the count, not dividing the count.
+  EXPECT_FALSE(DecodesOk(PackedBatchPayload(2, 0, {}, {})));
+  EXPECT_FALSE(
+      DecodesOk(PackedBatchPayload(2, 3, {{0, 0}, {0, 0}, {0, 0}}, {})));
+  EXPECT_FALSE(DecodesOk(PackedBatchPayload(3, 2, {{0, 0}, {0, 0}}, {})));
+  // A stride whose column headers cannot fit in what remains: 2^20
+  // columns claimed, one header present.
+  EXPECT_FALSE(
+      DecodesOk(PackedBatchPayload(uint64_t{1} << 20, uint64_t{1} << 20,
+                                   {{0, 0}}, {})));
+}
+
+TEST(CodecTest, PackedEventBatchBodySizeMustBeExact) {
+  // Two 4-bit values need exactly one byte: min 5 plus nibbles 1 and 2.
+  const std::vector<uint8_t> exact = PackedBatchPayload(2, 1, {{5, 4}}, {0x21});
+  Frame frame;
+  ASSERT_TRUE(DecodeFramePayload(exact.data(), exact.size(), &frame).ok());
+  EXPECT_EQ(frame.batch.values, (std::vector<int32_t>{6, 7}));
+  EXPECT_FALSE(DecodesOk(PackedBatchPayload(2, 1, {{5, 4}}, {})));
+  EXPECT_FALSE(DecodesOk(PackedBatchPayload(2, 1, {{5, 4}}, {0x21, 0x00})));
+  // Zero-width columns carry no body at all.
+  EXPECT_TRUE(DecodesOk(PackedBatchPayload(4, 2, {{1, 0}, {2, 0}}, {})));
+  EXPECT_FALSE(DecodesOk(PackedBatchPayload(4, 2, {{1, 0}, {2, 0}}, {0x00})));
+}
+
+TEST(CodecTest, PackedEventBatchForgedCountOverZeroWidthColumnsRejected) {
+  // Zero-width columns make any count cost zero body bytes, so only the
+  // count cap stops a tiny frame from sizing a huge vector.
+  EXPECT_FALSE(DecodesOk(PackedBatchPayload(
+      static_cast<uint64_t>(kMaxFramePayload) + 1, 1, {{0, 0}}, {})));
+  EXPECT_FALSE(
+      DecodesOk(PackedBatchPayload(uint64_t{1} << 40, 1, {{0, 0}}, {})));
+}
+
+TEST(CodecTest, PackedEventBatchValuesMustFitInt32) {
+  // min + (value bits) past INT32_MAX, and a min outside int32 itself.
+  EXPECT_FALSE(DecodesOk(PackedBatchPayload(
+      1, 1, {{std::numeric_limits<int32_t>::max(), 1}}, {0x01})));
+  EXPECT_TRUE(DecodesOk(PackedBatchPayload(
+      1, 1, {{std::numeric_limits<int32_t>::max(), 1}}, {0x00})));
+  EXPECT_FALSE(DecodesOk(PackedBatchPayload(
+      1, 1, {{int64_t{std::numeric_limits<int32_t>::max()} + 1, 0}}, {})));
+  EXPECT_FALSE(DecodesOk(PackedBatchPayload(
+      1, 1, {{int64_t{std::numeric_limits<int32_t>::min()} - 1, 0}}, {})));
 }
 
 TEST(CodecTest, DeltaPackingIsCompactForDenseCounters) {
@@ -358,10 +520,9 @@ TEST(CodecTest, RandomizedFuzzNeverCrashes) {
 // these defenses — these tests keep it that way).
 
 TEST(CodecTest, ForgedHugeEventBatchCountIsRejectedWithoutAllocation) {
-  // Hand-built payload claiming ~2^40 values backed by 2 bytes: the decoder
-  // must fail on truncation, and SafeReserve must cap the reserve() at what
-  // the remaining bytes could hold — not the claimed count (an OOM lever
-  // otherwise).
+  // Hand-built payload claiming ~2^40 values backed by 1 byte: the decoder
+  // must reject the count against its cap before sizing anything by it (an
+  // OOM lever otherwise).
   std::vector<uint8_t> payload = {static_cast<uint8_t>(FrameType::kEventBatch)};
   AppendVarint(ZigzagEncode(1), &payload);  // num_events
   AppendVarint(uint64_t{1} << 40, &payload);  // forged value count

@@ -50,9 +50,8 @@ TEST(CompressTest, TinyInputsBelowMinMatchRoundTrip) {
 }
 
 TEST(CompressTest, RepetitiveInputCompressesWell) {
-  // The wire case the codec exists for: a varint-packed low-cardinality
-  // event batch is a short alphabet tiling a long buffer. Demand a real
-  // ratio, not just "smaller".
+  // A short alphabet tiling a long buffer, the texture of a varint-packed
+  // final-count bundle. Demand a real ratio, not just "smaller".
   std::vector<uint8_t> raw;
   for (int i = 0; i < 8192; ++i) raw.push_back(static_cast<uint8_t>(i % 3));
   const std::vector<uint8_t> packed = Pack(raw);
@@ -211,16 +210,21 @@ TEST(CompressTest, WireCompressionSwitchToggles) {
 
 // --- The kCompressed envelope through the frame codec. -----------------
 
-Frame BigBatchFrame() {
-  EventBatch batch;
-  batch.num_events = 1024;
-  batch.values.assign(4096, 2);
-  return MakeFrame(batch);
+/// A site's end-of-run final counts over a dense counter range: the one
+/// frame kind the envelope may carry.
+Frame BigFinalCountsFrame() {
+  UpdateBundle bundle;
+  bundle.kind = UpdateBundle::Kind::kFinalCounts;
+  bundle.site = 1;
+  for (int64_t c = 0; c < 2000; ++c) {
+    bundle.reports.push_back(CounterReport{c, 50000});
+  }
+  return MakeFrame(bundle);
 }
 
 TEST(CompressEnvelopeTest, EligibleFrameShipsSmallerAndRoundTrips) {
   SetWireCompressionEnabled(true);
-  const Frame frame = BigBatchFrame();
+  const Frame frame = BigFinalCountsFrame();
   std::vector<uint8_t> raw;
   AppendFrame(frame, &raw);
   std::vector<uint8_t> wire;
@@ -234,22 +238,22 @@ TEST(CompressEnvelopeTest, EligibleFrameShipsSmallerAndRoundTrips) {
   EXPECT_EQ(consumed, wire.size());
   // The envelope is unwrapped in the decoder: the Frame carries the INNER
   // type plus the compressed flag for the conformance layer.
-  ASSERT_EQ(decoded.type, FrameType::kEventBatch);
+  ASSERT_EQ(decoded.type, FrameType::kUpdateBundle);
   EXPECT_TRUE(decoded.compressed);
-  EXPECT_TRUE(decoded.batch == frame.batch);
+  EXPECT_TRUE(decoded.bundle == frame.bundle);
 }
 
 TEST(CompressEnvelopeTest, DisabledSwitchShipsRaw) {
   SetWireCompressionEnabled(false);
   std::vector<uint8_t> wire;
-  AppendFrameMaybeCompressed(BigBatchFrame(), &wire);
+  AppendFrameMaybeCompressed(BigFinalCountsFrame(), &wire);
   SetWireCompressionEnabled(true);
-  EXPECT_EQ(wire[4], static_cast<uint8_t>(FrameType::kEventBatch));
+  EXPECT_EQ(wire[4], static_cast<uint8_t>(FrameType::kUpdateBundle));
 }
 
 TEST(CompressEnvelopeTest, IneligibleFrameTypesAlwaysShipRaw) {
-  // kReports bundles ride the latency path — only kFinalCounts bundles and
-  // event batches are eligible.
+  // kReports bundles ride the latency path and event batches are already
+  // bit-packed — only kFinalCounts bundles are eligible.
   UpdateBundle bundle;
   bundle.kind = UpdateBundle::Kind::kReports;
   bundle.site = 1;
@@ -259,33 +263,48 @@ TEST(CompressEnvelopeTest, IneligibleFrameTypesAlwaysShipRaw) {
   std::vector<uint8_t> wire;
   AppendFrameMaybeCompressed(MakeFrame(bundle), &wire);
   EXPECT_EQ(wire[4], static_cast<uint8_t>(FrameType::kUpdateBundle));
+
+  // A batch LZ would shrink: one value repeated.
+  EventBatch batch;
+  batch.num_events = 1024;
+  batch.values.assign(4096, 2);
+  std::vector<uint8_t> raw;
+  AppendFrame(MakeFrame(batch), &raw);
+  wire.clear();
+  AppendFrameMaybeCompressed(MakeFrame(batch), &wire);
+  EXPECT_EQ(wire[4], static_cast<uint8_t>(FrameType::kEventBatch));
+  EXPECT_EQ(wire, raw);
 }
 
 TEST(CompressEnvelopeTest, IncompressiblePayloadFallsBackToRaw) {
-  // An eligible batch of high-entropy values: the LZ pass cannot win, so
-  // the profitability check must ship the raw frame, not a bigger envelope.
+  // An eligible bundle of high-entropy ids and counts: the LZ pass cannot
+  // win, so the profitability check must ship the raw frame, not a bigger
+  // envelope.
   Rng rng(5150);
-  EventBatch batch;
-  batch.num_events = 256;
-  for (int i = 0; i < 4096; ++i) {
-    batch.values.push_back(static_cast<int32_t>(rng.NextBounded(1 << 20)));
+  UpdateBundle bundle;
+  bundle.kind = UpdateBundle::Kind::kFinalCounts;
+  bundle.site = 1;
+  for (int i = 0; i < 1024; ++i) {
+    bundle.reports.push_back(
+        CounterReport{static_cast<int64_t>(rng.Next() >> 16),
+                      static_cast<uint32_t>(rng.Next())});
   }
   std::vector<uint8_t> raw;
-  AppendFrame(MakeFrame(batch), &raw);
+  AppendFrame(MakeFrame(bundle), &raw);
   std::vector<uint8_t> wire;
-  AppendFrameMaybeCompressed(MakeFrame(batch), &wire);
-  EXPECT_EQ(wire[4], static_cast<uint8_t>(FrameType::kEventBatch));
+  AppendFrameMaybeCompressed(MakeFrame(bundle), &wire);
+  EXPECT_EQ(wire[4], static_cast<uint8_t>(FrameType::kUpdateBundle));
   EXPECT_EQ(wire.size(), raw.size());
 }
 
 TEST(CompressEnvelopeTest, TinyEligibleFrameStaysRaw) {
   // Below the kCompressMinPayload floor the envelope cannot amortize.
-  EventBatch batch;
-  batch.num_events = 1;
-  batch.values = {1, 2, 3};
+  UpdateBundle bundle;
+  bundle.kind = UpdateBundle::Kind::kFinalCounts;
+  bundle.reports = {{0, 1}, {1, 2}, {2, 3}};
   std::vector<uint8_t> wire;
-  AppendFrameMaybeCompressed(MakeFrame(batch), &wire);
-  EXPECT_EQ(wire[4], static_cast<uint8_t>(FrameType::kEventBatch));
+  AppendFrameMaybeCompressed(MakeFrame(bundle), &wire);
+  EXPECT_EQ(wire[4], static_cast<uint8_t>(FrameType::kUpdateBundle));
 }
 
 std::vector<uint8_t> FrameOf(const std::vector<uint8_t>& payload) {
@@ -343,7 +362,7 @@ TEST(CompressEnvelopeTest, CompressedHelloRejected) {
 }
 
 TEST(CompressEnvelopeTest, TruncatedLzBlockRejected) {
-  const Frame frame = BigBatchFrame();
+  const Frame frame = BigFinalCountsFrame();
   SetWireCompressionEnabled(true);
   std::vector<uint8_t> wire;
   AppendFrameMaybeCompressed(frame, &wire);

@@ -79,7 +79,18 @@ TEST_P(NetClusterTest, TransportMeasuresRealBytes) {
                                             10000, GetParam().factory);
   EXPECT_TRUE(result.transport_measured);
   // Every event crosses the wire downstream, and reports flow upstream.
-  EXPECT_GT(result.transport_bytes_down, static_cast<uint64_t>(10000));
+  // Event batches are bit-packed, so the floor is the information in the
+  // events: ceil(log2(cardinality)) bits per value (6 bits per Student
+  // event, 7500 bytes for 10000 events).
+  uint64_t bits_per_event = 0;
+  for (int v = 0; v < net.num_variables(); ++v) {
+    uint64_t bits = 0;
+    while ((uint64_t{1} << bits) < static_cast<uint64_t>(net.cardinality(v))) {
+      ++bits;
+    }
+    bits_per_event += bits;
+  }
+  EXPECT_GT(result.transport_bytes_down, 10000 * bits_per_event / 8);
   EXPECT_GT(result.transport_bytes_up, 0u);
 }
 

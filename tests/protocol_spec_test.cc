@@ -89,14 +89,37 @@ TEST(ProtocolSpecTable, NothingAfterClose) {
       LookupRule(ProtocolState::kDraining, kS2C, WireInput::kInHeartbeat)
           .verdict,
       ProtocolVerdict::kAccept);
-  // After the coordinator's command-lane close, event stragglers (raw or
-  // compressed) and heartbeat echoes stay legal.
-  for (WireInput input : {WireInput::kInEventBatch, WireInput::kInCompressed,
-                          WireInput::kInHeartbeat}) {
+  // After the coordinator's command-lane close, event stragglers and
+  // heartbeat echoes stay legal.
+  for (WireInput input : {WireInput::kInEventBatch, WireInput::kInHeartbeat}) {
     EXPECT_EQ(LookupRule(ProtocolState::kDraining, kC2S, input).verdict,
               ProtocolVerdict::kAccept)
         << WireInputName(input) << " after the command-lane close";
   }
+}
+
+TEST(ProtocolSpecTable, CoordinatorNeverSendsACompressionEnvelope) {
+  // Only final-count bundles may be compressed, and only sites send them:
+  // a wrapped frame from the coordinator is a violation in every state,
+  // even when its cargo (an event batch) would be legal raw.
+  constexpr ProtocolDirection kC2S = ProtocolDirection::kCoordinatorToSite;
+  for (ProtocolState state : kAllProtocolStates) {
+    EXPECT_EQ(LookupRule(state, kC2S, WireInput::kInCompressed).verdict,
+              ProtocolVerdict::kViolation)
+        << "compression envelope accepted from the coordinator in "
+        << ProtocolStateName(state);
+  }
+  ProtocolConformance conformance(ProtocolDirection::kCoordinatorToSite);
+  conformance.OnHelloSent();
+  ASSERT_EQ(conformance.OnFrame(MakeHello(0, kCapCompression)),
+            ProtocolVerdict::kAccept);
+  ASSERT_EQ(conformance.OnFrame(MakeFrame(EventBatch{})),
+            ProtocolVerdict::kAccept);
+  Frame wrapped = MakeFrame(EventBatch{});
+  wrapped.compressed = true;
+  EXPECT_EQ(conformance.OnFrame(wrapped), ProtocolVerdict::kViolation);
+  EXPECT_EQ(conformance.state(), ProtocolState::kClosed);
+  EXPECT_EQ(conformance.violations(), 1u);
 }
 
 TEST(ProtocolSpecTable, ExactlyOneHelloEver) {
@@ -152,9 +175,13 @@ TEST(ProtocolSpecTable, DirectionalOwnership) {
 TEST(ProtocolSpecTable, OutOfRangeVersionsRejectEverything) {
   // The table has no version axis; the hello's version claim is checked on
   // top of it. A hello claiming a version outside the one this build speaks
-  // is never accepted — as a first hello or as the coordinator's reply —
-  // and the connection it arrives on accepts nothing afterwards.
-  for (uint8_t version : {uint8_t{0}, uint8_t{6}, uint8_t{200}, uint8_t{255}}) {
+  // (the previous one and the next included) is never accepted — as a first
+  // hello or as the coordinator's reply — and the connection it arrives on
+  // accepts nothing afterwards.
+  for (uint8_t version :
+       {uint8_t{0}, static_cast<uint8_t>(kProtocolVersion - 1),
+        static_cast<uint8_t>(kProtocolVersion + 1), uint8_t{200},
+        uint8_t{255}}) {
     for (ProtocolDirection direction : kAllProtocolDirections) {
       for (ProtocolState initial :
            {ProtocolState::kAwaitingHello, ProtocolState::kActive}) {
@@ -402,8 +429,8 @@ TEST(ProtocolConformanceTest, AnyOtherHelloVersionIsAVersionMismatch) {
   // One wire version: a first hello claiming any other — older or newer —
   // is the same deployment error, counted and terminal.
   for (uint8_t version :
-       {uint8_t{4}, uint8_t{0}, uint8_t{255},
-        static_cast<uint8_t>(kProtocolVersion + 1)}) {
+       {static_cast<uint8_t>(kProtocolVersion - 1), uint8_t{4}, uint8_t{0},
+        uint8_t{255}, static_cast<uint8_t>(kProtocolVersion + 1)}) {
     SCOPED_TRACE(::testing::Message() << "hello v" << int(version));
     ProtocolConformance conformance(ProtocolDirection::kSiteToCoordinator);
     Frame hello = MakeHello(1);

@@ -263,35 +263,40 @@ Status ReadOneFrame(TcpSocket* socket, Frame* frame) {
 }
 
 TEST(ProtocolVersionTest, MismatchedHelloIsRejectedWithClearStatus) {
-  StatusOr<TcpListener> listener = TcpListener::Listen(0, 4);
-  ASSERT_TRUE(listener.ok()) << listener.status();
-  const int port = listener->port();
+  // A site one wire version behind (the last deployed build) or ahead:
+  // perfectly valid framing, wrong protocol revision. Unlike a stray port
+  // probe (dropped and re-accepted), this must fail the accept loop loudly
+  // — both ends would otherwise hang or misparse each other's frames.
+  for (const uint8_t version : {static_cast<uint8_t>(kProtocolVersion - 1),
+                                static_cast<uint8_t>(kProtocolVersion + 1)}) {
+    SCOPED_TRACE(::testing::Message() << "hello v" << int(version));
+    StatusOr<TcpListener> listener = TcpListener::Listen(0, 4);
+    ASSERT_TRUE(listener.ok()) << listener.status();
+    const int port = listener->port();
 
-  // A "future" dsgm site: perfectly valid framing, wrong protocol
-  // revision. Unlike a stray port probe (dropped and re-accepted), this
-  // must fail the accept loop loudly — both ends would otherwise hang.
-  std::thread peer([port] {
-    StatusOr<TcpSocket> socket = TcpSocket::Connect("127.0.0.1", port);
-    if (!socket.ok()) return;
-    Frame hello = MakeHello(/*site=*/0);
-    hello.protocol_version = static_cast<uint8_t>(kProtocolVersion + 1);
-    std::vector<uint8_t> bytes;
-    AppendFrame(hello, &bytes);
-    (void)socket->SendAll(bytes.data(), bytes.size());
-    // Wait for the coordinator to react (it closes without replying).
-    uint8_t unused = 0;
-    (void)socket->RecvAll(&unused, 1);
-  });
+    std::thread peer([port, version] {
+      StatusOr<TcpSocket> socket = TcpSocket::Connect("127.0.0.1", port);
+      if (!socket.ok()) return;
+      Frame hello = MakeHello(/*site=*/0);
+      hello.protocol_version = version;
+      std::vector<uint8_t> bytes;
+      AppendFrame(hello, &bytes);
+      (void)socket->SendAll(bytes.data(), bytes.size());
+      // Wait for the coordinator to react (it closes without replying).
+      uint8_t unused = 0;
+      (void)socket->RecvAll(&unused, 1);
+    });
 
-  ReactorCoordinator coordinator(1, NoLivenessOptions());
-  const Status accepted = coordinator.AcceptSites(&listener.value());
-  EXPECT_EQ(accepted.code(), StatusCode::kFailedPrecondition) << accepted;
-  EXPECT_NE(accepted.message().find("protocol version mismatch"),
-            std::string::npos)
-      << accepted;
-  listener->Close();
-  coordinator.Shutdown();
-  peer.join();
+    ReactorCoordinator coordinator(1, NoLivenessOptions());
+    const Status accepted = coordinator.AcceptSites(&listener.value());
+    EXPECT_EQ(accepted.code(), StatusCode::kFailedPrecondition) << accepted;
+    EXPECT_NE(accepted.message().find("protocol version mismatch"),
+              std::string::npos)
+        << accepted;
+    listener->Close();
+    coordinator.Shutdown();
+    peer.join();
+  }
 }
 
 TEST(ProtocolVersionTest, EarlyHeartbeatIsDroppedAsStray) {
@@ -675,36 +680,42 @@ TEST(ProtocolConformanceReactorAcceptTest, SyncBeforeHelloIsCountedAsStray) {
 
 TEST(WireCompressionTest, V5PeersCompressEligibleBatchesEndToEnd) {
   // Both ends of the kLocalTcp wiring advertise compression with the
-  // process-wide switch on (the default), so a repetitive batch must cross the wire inside an
-  // envelope — visible through the net.compress instruments — and decode to
-  // the identical batch on the far side.
+  // process-wide switch on (the default), so a site's repetitive final-count
+  // bundle must cross the wire inside an envelope — visible through the
+  // net.compress instruments — and decode to the identical bundle at the
+  // coordinator. The site starts compressing once the coordinator's
+  // reply-hello arrives, so it sends until one bundle went out wrapped.
   MetricsRegistry::Global().ResetForTest();
   ASSERT_TRUE(WireCompressionEnabled());
   auto transport = MakeSiteRoleTransport(1);
-  EventBatch batch;
-  batch.num_events = 2048;
-  batch.values.assign(8192, 3);
-  const EventBatch expected = batch;
-  ASSERT_TRUE(transport->coordinator().events[0]->Push(std::move(batch)));
-
-  Channel<EventBatch>* site_events = transport->site(0).events;
-  std::vector<EventBatch> got;
+  UpdateBundle bundle;
+  bundle.kind = UpdateBundle::Kind::kFinalCounts;
+  bundle.site = 0;
+  for (int64_t c = 0; c < 2000; ++c) {
+    bundle.reports.push_back(CounterReport{c, 50000});
+  }
+  Counter* const bytes_in =
+      MetricsRegistry::Global().GetCounter("net.compress.bytes_in");
+  Counter* const bytes_out =
+      MetricsRegistry::Global().GetCounter("net.compress.bytes_out");
+  Channel<UpdateBundle>* coordinator_updates = transport->coordinator().updates;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (got.empty() && std::chrono::steady_clock::now() < deadline) {
-    if (site_events->TryPopBatch(&got, 1) == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  while (bytes_in->Value() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    UpdateBundle copy = bundle;
+    ASSERT_TRUE(transport->site(0).updates->Push(std::move(copy)));
+    std::vector<UpdateBundle> got;
+    while (got.empty() && std::chrono::steady_clock::now() < deadline) {
+      if (coordinator_updates->TryPopBatch(&got, 1) == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
     }
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_TRUE(got[0] == bundle);
   }
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_TRUE(got[0] == expected);
-
-  const uint64_t bytes_in =
-      MetricsRegistry::Global().GetCounter("net.compress.bytes_in")->Value();
-  const uint64_t bytes_out =
-      MetricsRegistry::Global().GetCounter("net.compress.bytes_out")->Value();
-  EXPECT_GT(bytes_in, 0u);
-  EXPECT_LT(bytes_out, bytes_in);
+  EXPECT_GT(bytes_in->Value(), 0u);
+  EXPECT_LT(bytes_out->Value(), bytes_in->Value());
   transport->Shutdown();
 }
 
