@@ -56,10 +56,14 @@ namespace internal {
 /// the annotated mutexes below.
 class SpscLaneHub final : public Channel<EventBatch> {
  public:
+  /// Default `lane_capacity`, in batches: the loopback transport's per-site
+  /// event queue bound, so the hub exerts comparable end-to-end
+  /// backpressure.
+  static constexpr size_t kDefaultLaneCapacity = 64;
+
   /// `lane_capacity` bounds each producer's ring (backpressure per
-  /// producer). The default matches the loopback transport's per-site event
-  /// queue bound so the hub exerts comparable end-to-end backpressure.
-  explicit SpscLaneHub(size_t lane_capacity = 64);
+  /// producer).
+  explicit SpscLaneHub(size_t lane_capacity = kDefaultLaneCapacity);
   ~SpscLaneHub() override;
 
   /// Registers a new producer lane. The returned channel's Push may be

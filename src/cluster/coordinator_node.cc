@@ -1,6 +1,7 @@
 #include "cluster/coordinator_node.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/check.h"
 #include "common/timer.h"
@@ -16,15 +17,15 @@ constexpr uint64_t kUpdateBytes = kEstimatedUpdateBytes;
 constexpr uint64_t kBroadcastBytes = kEstimatedBroadcastBytes;
 constexpr uint64_t kSyncBytes = kEstimatedSyncBytes;
 
-// Publish cadence under load: every batch would be freshest, but in exact
-// mode nearly every report dirties a cell, so publishing per batch costs a
-// second write of most of the update volume (~15% throughput on the Fig. 8
-// bench). Amortizing over a few batches keeps snapshots sub-millisecond
-// stale at full rate; the pre-block publish in Run keeps them EXACT
-// whenever the stream goes quiet.
-constexpr int kPublishEveryBatches = 8;
-
 }  // namespace
+
+// Publish cadence under load (kPublishEveryBatches): every pop would be
+// freshest; the cadence amortizes each publish's scan and copy over
+// several pops. A pop spans up to kMergePopBatch bundles of up to
+// kMaxEventsPerReportBundle events each (64 x 64 = 4096 events), so a
+// saturated run publishes at least every 8 x 4096 = 32768 events, while
+// the update queue itself holds about 8192. The pre-block publish in Run
+// keeps snapshots EXACT whenever the stream goes quiet.
 
 CoordinatorNode::CoordinatorNode(std::vector<float> epsilons, int64_t num_counters,
                                  int num_sites, double probability_constant,
@@ -80,26 +81,11 @@ CoordinatorNode::CoordinatorNode(std::vector<float> epsilons, int64_t num_counte
 
 void CoordinatorNode::TouchEstimate(size_t counter) {
   if (!publish_tracking_) return;
-  uint8_t& dirty = publish_dirty_[counter];
-  if (!(dirty & 1)) {
-    dirty |= 1;
-    publish_pending_[0].push_back(static_cast<int64_t>(counter));
-  }
-  if (!(dirty & 2)) {
-    dirty |= 2;
-    publish_pending_[1].push_back(static_cast<int64_t>(counter));
-  }
+  publish_dirty_[counter] = 3;  // Pending for both buffers.
 }
 
 void CoordinatorNode::ActivatePublication() {
-  const size_t n = static_cast<size_t>(num_counters_);
-  publish_dirty_.assign(n, 3);
-  publish_pending_[0].resize(n);
-  publish_pending_[1].resize(n);
-  for (size_t c = 0; c < n; ++c) {
-    publish_pending_[0][c] = static_cast<int64_t>(c);
-    publish_pending_[1][c] = static_cast<int64_t>(c);
-  }
+  publish_dirty_.assign(static_cast<size_t>(num_counters_), 3);
   publish_tracking_ = true;
 }
 
@@ -142,13 +128,23 @@ bool CoordinatorNode::PublishSnapshot(bool wait) {
     state.mu.Lock();
   }
   const int64_t publish_start = NowNanos();
-  for (const int64_t counter : publish_pending_[back]) {
-    state.estimates[static_cast<size_t>(counter)] =
-        estimates_[static_cast<size_t>(counter)];
-    publish_dirty_[static_cast<size_t>(counter)] &=
-        static_cast<uint8_t>(~(1u << back));
+  const uint8_t bit = static_cast<uint8_t>(1u << back);
+  const uint64_t any_in_word = 0x0101010101010101ULL * bit;
+  uint8_t* const dirty = publish_dirty_.data();
+  const size_t n = publish_dirty_.size();
+  for (size_t word = 0; word < n; word += 8) {
+    const size_t end = std::min(n, word + 8);
+    if (end - word == 8) {
+      uint64_t marks;
+      std::memcpy(&marks, dirty + word, sizeof(marks));
+      if ((marks & any_in_word) == 0) continue;  // Eight clean cells.
+    }
+    for (size_t c = word; c < end; ++c) {
+      if (!(dirty[c] & bit)) continue;
+      state.estimates[c] = estimates_[c];
+      dirty[c] = static_cast<uint8_t>(dirty[c] & ~bit);
+    }
   }
-  publish_pending_[back].clear();
   state.comm = comm_;
   state.mu.Unlock();
   published_front_.store(back, std::memory_order_release);
@@ -249,6 +245,24 @@ void CoordinatorNode::MaybeAdvance(int64_t counter) {
     return;
   }
   probs_[c] = static_cast<float>(new_p);
+  // Re-base the estimate on the new p. A cell that reported since its last
+  // sync contributes best + (1/p - 1), and that gap term entered
+  // estimates_[c] under the old p; left in place, the next delta for the
+  // cell would be taken against the new gap and the estimate would stay off
+  // by the difference for good. Until the site's sync reply lands, its
+  // latest report is the best known floor of its count (the in-process
+  // ApproxCounterFamily resets to exact counts on the same transition).
+  const size_t base = c * static_cast<size_t>(num_sites_);
+  double floored = 0.0;
+  for (int s = 0; s < num_sites_; ++s) {
+    const size_t cell = base + static_cast<size_t>(s);
+    sync_counts_[cell] = std::max(sync_counts_[cell], best_reports_[cell]);
+    floored += static_cast<double>(sync_counts_[cell]);
+  }
+  if (floored != estimates_[c]) {
+    estimates_[c] = floored;
+    TouchEstimate(c);
+  }
   ++comm_.rounds_advanced;
   rounds_advanced_metric_->Increment();
   Trace(TraceEventType::kRoundAdvance, -1, counter);
@@ -262,7 +276,7 @@ void CoordinatorNode::MaybeAdvance(int64_t counter) {
   comm_.bytes_down += kBroadcastBytes * static_cast<uint64_t>(alive);
   for (int s = 0; s < num_sites_; ++s) {
     if (site_dead_[static_cast<size_t>(s)]) continue;
-    sync_owed_[c * static_cast<size_t>(num_sites_) + static_cast<size_t>(s)] = 1;
+    sync_owed_[base + static_cast<size_t>(s)] = 1;
     RoundAdvance advance;
     advance.counter = counter;
     advance.round = round;
@@ -281,7 +295,7 @@ void CoordinatorNode::Run() {
       if (done_sites_ == num_sites_ && outstanding_syncs_ == 0) break;
     }
     batch.clear();
-    size_t got = from_sites_->TryPopBatch(&batch, 64);
+    size_t got = from_sites_->TryPopBatch(&batch, kMergePopBatch);
     if (got == 0) {
       // About to block: land the pending cells first, so a snapshot taken
       // while the sites are idle reflects everything received. The pops
@@ -292,7 +306,7 @@ void CoordinatorNode::Run() {
         MutexLock lock(&mu_);
         MaybePublish(/*force=*/true);
       }
-      got = from_sites_->PopBatch(&batch, 64);
+      got = from_sites_->PopBatch(&batch, kMergePopBatch);
       if (got == 0) break;  // Queue closed: all readers gone or run failed.
     }
     const int64_t now_nanos = NowNanos();
@@ -353,8 +367,9 @@ void CoordinatorNode::Run() {
       // arrived) publishes immediately and moves readers onto the buffers.
       MaybePublish(/*force=*/false);
       // Mirror the comm totals into the registry at batch granularity: a
-      // handful of gauge stores per ≤64 bundles, invisible next to the
-      // protocol work, and a metrics dump needs no access to this node.
+      // handful of gauge stores per ≤kMergePopBatch bundles, invisible next
+      // to the protocol work, and a metrics dump needs no access to this
+      // node.
       outstanding_syncs_gauge_->Set(outstanding_syncs_);
       bytes_up_gauge_->Set(static_cast<int64_t>(comm_.bytes_up));
       bytes_down_gauge_->Set(static_cast<int64_t>(comm_.bytes_down));

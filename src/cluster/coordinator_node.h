@@ -24,6 +24,11 @@ namespace dsgm {
 /// acknowledged the current round.
 class CoordinatorNode {
  public:
+  /// Most bundles one Run() pop takes off the update queue and merges.
+  static constexpr size_t kMergePopBatch = 64;
+  /// Publish cadence under load, in pops (coordinator_node.cc says why).
+  static constexpr int kPublishEveryBatches = 8;
+
   /// `epsilons` follows the MleTracker counter layout; empty means exact
   /// mode (reporting probability pinned to 1, no rounds). `commands[s]` is
   /// site s's command queue.
@@ -89,13 +94,14 @@ class CoordinatorNode {
   /// Current per-site estimate contribution of a cell.
   double SiteEstimate(size_t cell, double p) const DSGM_REQUIRES(mu_);
   /// Records that estimates_[counter] changed since each buffer's last
-  /// publish (deduplicated per buffer via dirty bits). No-op until the
-  /// first query activates publication, so runs nobody queries pay nothing
-  /// on the report path.
+  /// publish: one unconditional byte store, no load, compare or list append
+  /// on the report path (the publish finds the marks by scanning). No-op
+  /// until the first query activates publication, so runs nobody queries
+  /// pay nothing on the report path.
   void TouchEstimate(size_t counter) DSGM_REQUIRES(mu_);
   /// Starts dirty tracking after the first query: marks every cell pending
   /// once (the catch-up publish is one full copy, like a single pre-PR5
-  /// snapshot), after which publishes are incremental.
+  /// snapshot), after which publishes copy only the marked cells.
   void ActivatePublication() DSGM_REQUIRES(mu_);
   /// The per-batch publish decision: no-op in state 0; immediate publish
   /// on activation (state 1) or when `force` or the cadence counter says
@@ -162,9 +168,10 @@ class CoordinatorNode {
   /// Run publishes at the next opportunity; 2 = published state is live,
   /// readers use the buffers. Monotone 0 -> 1 -> 2.
   mutable std::atomic<int> publish_state_{0};
-  /// Bit b set: the cell is pending publication into buffer b.
+  /// Bit b set: the cell is pending publication into buffer b. A publish
+  /// skips clean cells eight at a time, so its scan is O(counters / 8) and
+  /// its copy O(touched cells).
   std::vector<uint8_t> publish_dirty_ DSGM_GUARDED_BY(mu_);
-  std::vector<int64_t> publish_pending_[2] DSGM_GUARDED_BY(mu_);
   /// Run-thread mirror of "publication is on" (avoids an atomic load per
   /// report) plus the publish cadence counter.
   bool publish_tracking_ DSGM_GUARDED_BY(mu_) = false;

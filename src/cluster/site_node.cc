@@ -1,6 +1,7 @@
 #include "cluster/site_node.h"
 
 #include "common/check.h"
+#include "common/rng.h"
 
 namespace dsgm {
 
@@ -9,25 +10,36 @@ SiteNode::SiteNode(int site_id, const BayesianNetwork& network, uint64_t seed,
                    Channel<UpdateBundle>* to_coordinator)
     : site_id_(site_id),
       network_(&network),
-      rng_(seed),
+      coin_seed_(Rng(seed).Next()),
       events_(events),
       commands_(commands),
       to_coordinator_(to_coordinator),
       layout_(network) {
   local_counts_.assign(static_cast<size_t>(layout_.total_counters()), 0);
   probs_.assign(static_cast<size_t>(layout_.total_counters()), 1.0f);
-  // Hot-path buffers sized once: an event reports at most two counters per
-  // variable, and DrainCommands pops at most kCommandPopBatch commands.
-  outbox_.reserve(2 * static_cast<size_t>(layout_.num_vars));
+  // Hot-path buffers: an event reports at most two counters per variable
+  // and a bundle spans at most kMaxEventsPerReportBundle events, so once
+  // FlushReports has re-reserved the outbox for a whole bundle it never
+  // regrows: one allocation per bundle. The first bundle grows into it on
+  // the Run() thread, which keeps that allocation off session setup.
+  // DrainCommands pops at most kCommandPopBatch commands.
+  outbox_reserve_ = static_cast<size_t>(kMaxEventsPerReportBundle) * 2 *
+                    static_cast<size_t>(layout_.num_vars);
   command_buffer_.reserve(kCommandPopBatch);
 }
 
 void SiteNode::ProcessEvent(const int32_t* values) {
-  outbox_.clear();
   auto increment = [this](int64_t counter) {
     const uint32_t local = ++local_counts_[static_cast<size_t>(counter)];
     const float p = probs_[static_cast<size_t>(counter)];
-    if (p >= 1.0f || rng_.NextBernoulli(p)) {
+    // The report coin is a pure function of (seed, counter, local count),
+    // not a draw from one shared stream: which increments of a counter
+    // report then does not depend on when round advances reach this
+    // thread, so a seeded run samples the same increments however the
+    // threads interleave.
+    if (p >= 1.0f ||
+        HashToUnitDouble(coin_seed_ ^ ((static_cast<uint64_t>(counter) << 32) |
+                                       local)) < p) {
       outbox_.push_back(CounterReport{counter, local});
     }
   };
@@ -37,14 +49,18 @@ void SiteNode::ProcessEvent(const int32_t* values) {
     increment(layout_.ParentId(i, row));
   }
   events_processed_.fetch_add(1, std::memory_order_relaxed);
-  if (!outbox_.empty()) {
-    UpdateBundle bundle;
-    bundle.kind = UpdateBundle::Kind::kReports;
-    bundle.site = site_id_;
-    bundle.reports = outbox_;
-    to_coordinator_->Push(std::move(bundle));
-    updates_sent_.fetch_add(1, std::memory_order_relaxed);
-  }
+}
+
+void SiteNode::FlushReports() {
+  if (outbox_.empty()) return;
+  UpdateBundle bundle;
+  bundle.kind = UpdateBundle::Kind::kReports;
+  bundle.site = site_id_;
+  bundle.reports = std::move(outbox_);
+  outbox_.clear();  // A moved-from vector is valid but unspecified.
+  outbox_.reserve(outbox_reserve_);
+  to_coordinator_->Push(std::move(bundle));
+  updates_sent_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void SiteNode::DrainCommands(bool block_until_closed) {
@@ -101,8 +117,11 @@ void SiteNode::Run() {
       for (int32_t e = 0; e < batch.num_events; ++e) {
         ProcessEvent(cursor);
         cursor += layout_.num_vars;
+        if ((e + 1) % kMaxEventsPerReportBundle == 0) FlushReports();
       }
+      FlushReports();
     }
+    // The outbox is empty here, so this pop's reports precede its syncs.
     DrainCommands(/*block_until_closed=*/false);
   }
   UpdateBundle done;

@@ -10,7 +10,6 @@
 #include "bayes/network.h"
 #include "core/counter_layout.h"
 #include "net/wire.h"
-#include "common/rng.h"
 #include "net/channel.h"
 
 namespace dsgm {
@@ -18,6 +17,14 @@ namespace dsgm {
 /// One remote site: consumes its event stream, keeps cumulative local
 /// counts for every counter, makes the Bernoulli reporting decisions, and
 /// answers round advances with exact sync replies.
+///
+/// Reports are bundled per run of events, not per event: the reports of up
+/// to kMaxEventsPerReportBundle consecutive events of one EventBatch travel
+/// in one kReports bundle, in the order they were generated. The bundle is
+/// flushed after every kMaxEventsPerReportBundle-th event of a batch and at
+/// the end of every batch, so it never spans two batches and always
+/// precedes the sync replies the site sends after that batch. A batch of
+/// one event (the in-process shape) therefore still yields one bundle.
 ///
 /// Counter ids use the MleTracker layout (joint counters first, then parent
 /// counters); the structural metadata needed to map an instance to counter
@@ -62,18 +69,25 @@ class SiteNode {
   /// (used by the runner to validate coordinator estimates).
   const std::vector<uint32_t>& local_counts() const { return local_counts_; }
 
- private:
-  /// Pop-batch bounds of the two consume loops (also the reserve sizes of
-  /// the reused buffers below).
+  /// Pop-batch bound of the event loop: the most EventBatches a site holds
+  /// popped but not yet reported (public so tests can bound in-flight
+  /// events).
   static constexpr size_t kEventPopBatch = 4;
+
+ private:
+  /// Pop-batch bound of the command loop (also the reserve size of
+  /// command_buffer_).
   static constexpr size_t kCommandPopBatch = 256;
 
+  /// Counts one event and appends its sampled reports to outbox_.
   void ProcessEvent(const int32_t* values);
+  /// Ships outbox_ as one kReports bundle (no-op when it is empty).
+  void FlushReports();
   void DrainCommands(bool block_until_closed);
 
   int site_id_;
   const BayesianNetwork* network_;
-  Rng rng_;
+  uint64_t coin_seed_;  // Keys the per-increment report coins.
   Channel<EventBatch>* events_;
   Channel<RoundAdvance>* commands_;
   Channel<UpdateBundle>* to_coordinator_;
@@ -85,12 +99,14 @@ class SiteNode {
   std::vector<uint32_t> local_counts_;
   std::vector<float> probs_;
 
+  /// Reports of the events processed since the last FlushReports.
   std::vector<CounterReport> outbox_;
+  size_t outbox_reserve_ = 0;
   std::vector<RoundAdvance> command_buffer_;
 
   // Live stats: single writer (the Run() thread), any reader, relaxed.
   std::atomic<int64_t> events_processed_{0};
-  std::atomic<uint64_t> updates_sent_{0};
+  std::atomic<uint64_t> updates_sent_{0};  // kReports bundles, not reports.
   std::atomic<uint64_t> syncs_sent_{0};
   std::atomic<uint64_t> rounds_seen_{0};  // Highest round id answered.
 };

@@ -168,6 +168,8 @@ struct SiteHealth {
   /// the site's hello is accepted.
   double heartbeat_age_ms = -1.0;
   int64_t events_processed = 0;
+  /// kReports bundles sent (each covers up to 64 events), not counter
+  /// reports.
   uint64_t updates_sent = 0;
   uint64_t syncs_sent = 0;
   uint64_t rounds_seen = 0;

@@ -26,6 +26,13 @@ inline uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+/// Counter-based uniform double in [0, 1): a pure function of `key` (one
+/// SplitMix64 round), for random decisions that must not depend on the
+/// order in which they are made.
+inline double HashToUnitDouble(uint64_t key) {
+  return static_cast<double>(SplitMix64(key) >> 11) * 0x1.0p-53;
+}
+
 /// xoshiro256++ pseudo-random generator. Satisfies the essentials of
 /// UniformRandomBitGenerator so it can also drive <random> distributions.
 class Rng {

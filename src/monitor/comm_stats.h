@@ -32,8 +32,11 @@ constexpr uint64_t kEstimatedSyncBytes = 4;
 /// The unit of `update_messages` is ONE counter update, matching the paper's
 /// Table III convention (EXACTMLE sends 2n of them per event). Broadcasts
 /// fan out to every site, so a round announcement adds k. `wire_messages`
-/// counts physically distinct transmissions after the paper's bundling
-/// optimization (all updates one event causes at one site travel together).
+/// counts physically distinct transmissions after bundling: in-process,
+/// the paper's optimization (all updates one event causes at one site
+/// travel together, one message per event); on the cluster backends a
+/// site's kReports bundle carries the updates of up to 64 consecutive
+/// events of one batch (net/wire.h kMaxEventsPerReportBundle).
 struct CommStats {
   uint64_t update_messages = 0;     // site -> coordinator counter updates
   uint64_t broadcast_messages = 0;  // coordinator -> site round announcements

@@ -8,10 +8,10 @@ namespace dsgm {
 namespace {
 
 // Queue bounds; the reactor transport's inbox capacities default to the
-// same values so backpressure behaves identically.
+// same values so backpressure behaves identically. The update queue's bound
+// is kUpdateQueueCapacity (net/wire.h).
 constexpr size_t kEventQueueCapacity = 64;
 constexpr size_t kCommandQueueCapacity = 1 << 16;
-constexpr size_t kUpdateQueueCapacity = 8192;
 
 class LoopbackTransport : public ClusterTransport {
  public:

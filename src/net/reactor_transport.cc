@@ -606,7 +606,7 @@ void ReactorConnection::ShutdownFromOwner() {
 ReactorCoordinator::ReactorCoordinator(int num_sites, const Options& options)
     : num_sites_(num_sites),
       options_(options),
-      merged_updates_(8192),
+      merged_updates_(kUpdateQueueCapacity),
       update_channel_(&merged_updates_),
       connections_(static_cast<size_t>(num_sites)),
       live_reads_(num_sites) {
@@ -749,7 +749,7 @@ class ReactorTransport : public ClusterTransport {
  public:
   explicit ReactorTransport(int num_sites)
       : num_sites_(num_sites),
-        merged_updates_(8192),
+        merged_updates_(kUpdateQueueCapacity),
         update_channel_(&merged_updates_) {
     StatusOr<TcpListener> listener = TcpListener::Listen(0, num_sites + 8);
     DSGM_CHECK(listener.ok()) << listener.status();

@@ -246,10 +246,13 @@ class ReactorConnection {
  public:
   struct Options {
     /// Inbox bounds, matching the loopback queue capacities so every
-    /// transport exerts the same backpressure.
+    /// transport exerts the same backpressure. Event inboxes hold batches
+    /// and update inboxes hold kReports bundles of up to
+    /// kMaxEventsPerReportBundle events each, so kUpdateQueueCapacity keeps
+    /// about 8192 events of reports in flight, not 8192 bundles.
     size_t event_capacity = 64;
     size_t command_capacity = 1 << 16;
-    size_t update_capacity = 8192;
+    size_t update_capacity = kUpdateQueueCapacity;
     /// Staged-but-unwritten byte cap per connection; non-exempt pushes
     /// block while it is exceeded (a single frame larger than the cap is
     /// still accepted once the outbox drains below it).

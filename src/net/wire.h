@@ -2,19 +2,36 @@
 //
 // The threaded cluster speaks the same counter protocol as the synchronous
 // simulation (monitor/round_schedule.h documents the rounds); these are the
-// concrete message frames. Site->coordinator traffic is bundled: all counter
-// updates caused by one event travel in one UpdateBundle, the optimization
-// described in the paper's Section VI-A.
+// concrete message frames. Site->coordinator traffic is bundled: the paper's
+// Section VI-A sends all counter updates caused by one event in one message;
+// a site goes one step further and ships the updates of a run of up to
+// kMaxEventsPerReportBundle consecutive events of one EventBatch in one
+// UpdateBundle. Reports are cumulative counts, so bundling changes neither
+// the estimate nor the number of counter updates, only the frame count.
 
 #ifndef DSGM_NET_WIRE_H_
 #define DSGM_NET_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "common/metrics.h"
 
 namespace dsgm {
+
+/// Upper bound on the events whose reports share one kReports bundle. A
+/// site flushes its reports after every this-many events of a batch and at
+/// the end of every batch, so a report waits for at most this many events
+/// of site work (tens of microseconds) before it ships.
+constexpr int kMaxEventsPerReportBundle = 64;
+
+/// Bound, in bundles, of every site->coordinator update queue (loopback
+/// queue, reactor inboxes, merged coordinator queue). Sized so a full queue
+/// holds about 8192 events of reports: bounding it in bundles alone would
+/// let the backlog (and with it snapshot staleness) grow with the bundle
+/// size.
+constexpr size_t kUpdateQueueCapacity = 8192 / kMaxEventsPerReportBundle;
 
 /// One counter report inside an UpdateBundle: the site's cumulative local
 /// count of `counter` at the moment of reporting.
@@ -26,7 +43,9 @@ struct CounterReport {
 /// Site -> coordinator frame.
 struct UpdateBundle {
   enum class Kind : uint8_t {
-    kReports,      // sampled counter reports of one event
+    kReports,      // sampled counter reports of up to
+                   // kMaxEventsPerReportBundle consecutive events, in the
+                   // order the site generated them
     kSync,         // exact counts replying to a round advance
     kSiteDone,     // the site has processed its whole stream
     kFinalCounts,  // exact per-counter totals, sent after protocol shutdown
@@ -62,6 +81,8 @@ struct EventBatch {
 struct SiteStatsReport {
   int32_t site = -1;
   int64_t events_processed = 0;
+  /// kReports bundles sent (one per run of up to kMaxEventsPerReportBundle
+  /// events), not counter reports.
   uint64_t updates_sent = 0;
   uint64_t syncs_sent = 0;
   uint64_t rounds_seen = 0;

@@ -5,12 +5,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
+#include <vector>
 
+#include "api/sharded_router.h"
 #include "bayes/repository.h"
+#include "bayes/sampler.h"
 #include "cluster/coordinator_node.h"
 #include "cluster/site_node.h"
+#include "common/metrics.h"
 #include "common/queue.h"
+#include "core/counter_layout.h"
 #include "dsgm/dsgm.h"
 #include "net/channel.h"
 
@@ -197,6 +203,134 @@ TEST(SiteNodeTest, IgnoresForgedRoundAdvances) {
   EXPECT_EQ(out[0].kind, UpdateBundle::Kind::kSiteDone);
 }
 
+/// A SiteNode wired to BoundedQueue channels, run to completion on the
+/// calling thread over the given event batches (and round advances, queued
+/// before Run()). Returns every UpdateBundle it sent, in order.
+std::vector<UpdateBundle> RunSiteOver(const BayesianNetwork& net,
+                                      const std::vector<EventBatch>& batches,
+                                      const std::vector<RoundAdvance>& advances,
+                                      std::vector<uint32_t>* local_counts) {
+  BoundedQueue<EventBatch> events(batches.size() + 1);
+  BoundedQueue<RoundAdvance> commands(advances.size() + 1);
+  BoundedQueue<UpdateBundle> updates(1024);
+  QueueChannel<EventBatch> event_channel(&events);
+  QueueChannel<RoundAdvance> command_channel(&commands);
+  QueueChannel<UpdateBundle> update_channel(&updates);
+  SiteNode site(0, net, /*seed=*/1, &event_channel, &command_channel,
+                &update_channel);
+  for (const EventBatch& batch : batches) EXPECT_TRUE(events.Push(batch));
+  for (const RoundAdvance& advance : advances) {
+    EXPECT_TRUE(commands.Push(advance));
+  }
+  events.Close();
+  commands.Close();
+  site.Run();
+  if (local_counts != nullptr) *local_counts = site.local_counts();
+  std::vector<UpdateBundle> out;
+  updates.TryPopBatch(&out, 1024);
+  return out;
+}
+
+/// `count` sampled Student events as one EventBatch.
+EventBatch StudentBatch(const BayesianNetwork& net, int count, uint64_t seed) {
+  ForwardSampler sampler(net, seed);
+  EventBatch batch;
+  batch.num_events = count;
+  for (const Instance& instance : sampler.SampleMany(count)) {
+    batch.values.insert(batch.values.end(), instance.begin(), instance.end());
+  }
+  return batch;
+}
+
+std::vector<UpdateBundle> ReportBundles(const std::vector<UpdateBundle>& sent) {
+  std::vector<UpdateBundle> reports;
+  for (const UpdateBundle& bundle : sent) {
+    if (bundle.kind == UpdateBundle::Kind::kReports) reports.push_back(bundle);
+  }
+  return reports;
+}
+
+TEST(SiteNodeTest, BundlesReportsOfUpTo64EventsPerBatch) {
+  // Student: n = 5, every counter starts at p = 1, so every event reports
+  // 2n = 10 counters.
+  const BayesianNetwork net = StudentNetwork();
+  const EventBatch batch = StudentBatch(net, 200, /*seed=*/3);
+  const std::vector<UpdateBundle> bundles =
+      ReportBundles(RunSiteOver(net, {batch}, {}, nullptr));
+
+  ASSERT_EQ(bundles.size(), 4u);  // 64 + 64 + 64 + 8 events.
+  EXPECT_EQ(bundles[0].reports.size(), 640u);
+  EXPECT_EQ(bundles[1].reports.size(), 640u);
+  EXPECT_EQ(bundles[2].reports.size(), 640u);
+  EXPECT_EQ(bundles[3].reports.size(), 80u);
+
+  // Concatenated, the bundles are exactly the per-event report sequence:
+  // counter ids in ProcessEvent order, cumulative counts.
+  const CounterLayout layout(net);
+  std::vector<uint32_t> counts(static_cast<size_t>(layout.total_counters()), 0);
+  std::vector<CounterReport> expected;
+  for (int32_t e = 0; e < batch.num_events; ++e) {
+    const int32_t* values = batch.values.data() + e * layout.num_vars;
+    for (int i = 0; i < layout.num_vars; ++i) {
+      const int64_t row = layout.ParentRowOf(i, values);
+      for (const int64_t counter :
+           {layout.JointId(i, row, values[i]), layout.ParentId(i, row)}) {
+        expected.push_back(
+            CounterReport{counter, ++counts[static_cast<size_t>(counter)]});
+      }
+    }
+  }
+  std::vector<CounterReport> shipped;
+  for (const UpdateBundle& bundle : bundles) {
+    EXPECT_EQ(bundle.site, 0);
+    shipped.insert(shipped.end(), bundle.reports.begin(), bundle.reports.end());
+  }
+  EXPECT_EQ(shipped, expected);
+}
+
+TEST(SiteNodeTest, OneEventBatchesShipOneBundleEach) {
+  // The in-process shape: a bundle never spans two batches.
+  const BayesianNetwork net = StudentNetwork();
+  const std::vector<EventBatch> batches = {StudentBatch(net, 1, 4),
+                                           StudentBatch(net, 1, 5),
+                                           StudentBatch(net, 1, 6)};
+  const std::vector<UpdateBundle> bundles =
+      ReportBundles(RunSiteOver(net, batches, {}, nullptr));
+  ASSERT_EQ(bundles.size(), 3u);
+  for (const UpdateBundle& bundle : bundles) {
+    EXPECT_EQ(bundle.reports.size(), 10u);
+  }
+}
+
+TEST(SiteNodeTest, BatchReportsPrecedeTheSyncReply) {
+  const BayesianNetwork net = StudentNetwork();
+  const CounterLayout layout(net);
+  const int root = net.topological_order()[0];
+  const int64_t counter = layout.ParentId(root, 0);
+  std::vector<uint32_t> local_counts;
+  const std::vector<UpdateBundle> sent =
+      RunSiteOver(net, {StudentBatch(net, 200, /*seed=*/7)},
+                  {RoundAdvance{counter, 1, 0.5f}}, &local_counts);
+
+  size_t reports_seen = 0;
+  bool synced = false;
+  for (const UpdateBundle& bundle : sent) {
+    if (bundle.kind == UpdateBundle::Kind::kReports) {
+      EXPECT_FALSE(synced) << "a report bundle followed the sync reply";
+      ++reports_seen;
+    } else if (bundle.kind == UpdateBundle::Kind::kSync) {
+      synced = true;
+      ASSERT_EQ(bundle.reports.size(), 1u);
+      EXPECT_EQ(bundle.reports[0].counter, counter);
+      EXPECT_EQ(bundle.reports[0].value,
+                local_counts[static_cast<size_t>(counter)]);
+    }
+  }
+  EXPECT_TRUE(synced);
+  EXPECT_EQ(reports_seen, 4u);
+  EXPECT_EQ(local_counts[static_cast<size_t>(counter)], 200u);
+}
+
 /// One threaded-cluster run through the Session API (the former RunCluster
 /// free function's behavior: same seed schedule, same report fields).
 RunReport RunThreadedCluster(const BayesianNetwork& net, TrackingStrategy strategy,
@@ -217,14 +351,25 @@ RunReport RunThreadedCluster(const BayesianNetwork& net, TrackingStrategy strate
 
 TEST(ClusterTest, ExactModeReproducesCountsExactly) {
   const BayesianNetwork net = StudentNetwork();
+  Counter* const batches_flushed =
+      MetricsRegistry::Global().GetCounter("api.ingest.batches_flushed");
+  const uint64_t batches_before = batches_flushed->Value();
   const RunReport result =
       RunThreadedCluster(net, TrackingStrategy::kExactMle, 3, 20000);
+  const uint64_t delivered_batches = batches_flushed->Value() - batches_before;
   EXPECT_EQ(result.events_processed, 20000);
   // Exact mode: coordinator estimates equal summed site counts.
   EXPECT_DOUBLE_EQ(result.max_counter_rel_error, 0.0);
   // 2n update messages per event.
   EXPECT_EQ(result.comm.update_messages,
             static_cast<uint64_t>(20000 * 2 * net.num_variables()));
+  // ...but one wire message per run of up to kMaxEventsPerReportBundle
+  // events of a batch: every batch adds at most one partial bundle.
+  EXPECT_GT(delivered_batches, 0u);
+  EXPECT_LE(result.comm.wire_messages,
+            static_cast<uint64_t>((20000 + kMaxEventsPerReportBundle - 1) /
+                                  kMaxEventsPerReportBundle) +
+                delivered_batches);
   EXPECT_GT(result.runtime_seconds, 0.0);
   EXPECT_GT(result.throughput_events_per_sec, 0.0);
 }
@@ -249,9 +394,80 @@ TEST(ClusterTest, ApproxSendsFewerMessagesThanExact) {
   const RunReport approx =
       RunThreadedCluster(net, TrackingStrategy::kNonUniform, 4, 30000);
   EXPECT_LT(approx.comm.TotalMessages(), exact.comm.TotalMessages());
-  // Bundled wire messages stay ~1/event for every algorithm (the paper makes
-  // the same observation about its cluster runs); the payload shrinks.
+  // Bundled wire messages stay ~1 per kMaxEventsPerReportBundle events and
+  // site for every algorithm (the paper makes the same observation about
+  // its one-bundle-per-event cluster runs); the payload shrinks.
   EXPECT_LT(approx.comm.bytes_up, exact.comm.bytes_up);
+}
+
+TEST(ClusterTest, SaturatedSnapshotLagStaysWithinQueueBounds) {
+  // One producer pushes flat out while a 1 ms poller snapshots. An event is
+  // pushed but not yet visible in a snapshot only while it sits in one of
+  // the pipeline's bounded stages, so the lag can never exceed their sum.
+  // Bounding the update queue in bundles alone would let that backlog grow
+  // with the bundle size (to about 570k events here).
+  const BayesianNetwork net = Alarm();
+  constexpr int kSites = 4;
+  constexpr int kBatch = 256;
+  StatusOr<std::unique_ptr<Session>> built = SessionBuilder(net)
+                                                 .WithBackend(Backend::kThreads)
+                                                 .WithStrategy(TrackingStrategy::kExactMle)
+                                                 .WithSites(kSites)
+                                                 .WithBatchSize(kBatch)
+                                                 .WithSeed(99)
+                                                 .Build();
+  ASSERT_TRUE(built.ok()) << built.status();
+  Session& session = **built;
+
+  const int64_t batch = kBatch;
+  const int64_t bundle = kMaxEventsPerReportBundle;
+  const int64_t merge_pop =
+      static_cast<int64_t>(CoordinatorNode::kMergePopBatch) * bundle;
+  const int64_t bound =
+      kSites * batch +  // staged in the producer's shard
+      kSites * static_cast<int64_t>(internal::SpscLaneHub::kDefaultLaneCapacity) *
+          batch +  // lanes
+      kSites * static_cast<int64_t>(SiteNode::kEventPopBatch) *
+          batch +  // popped by the sites, reports not yet queued
+      static_cast<int64_t>(kUpdateQueueCapacity) * bundle +  // update queue
+      merge_pop +                                            // being merged
+      CoordinatorNode::kPublishEveryBatches * merge_pop +    // not published
+      merge_pop;  // one cadence publish deferred while this poller copies
+
+  const CounterLayout layout(net);
+  const int root = net.topological_order()[0];
+  ASSERT_EQ(net.parent_cardinality(root), 1);
+  const int64_t every_event = layout.ParentId(root, 0);
+  const std::vector<Instance> pool = ForwardSampler(net, 5).SampleMany(4096);
+
+  std::atomic<int64_t> pushed{0};
+  std::atomic<bool> stop{false};
+  std::thread producer([&] {
+    int64_t n = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      ASSERT_TRUE(session.Push(pool[static_cast<size_t>(n) % pool.size()]).ok());
+      pushed.store(++n, std::memory_order_release);
+    }
+  });
+  int64_t max_lag = 0;
+  int samples = 0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const int64_t before = pushed.load(std::memory_order_acquire);
+    StatusOr<ModelView> view = session.Snapshot();
+    ASSERT_TRUE(view.ok()) << view.status();
+    max_lag = std::max(
+        max_lag, before - static_cast<int64_t>(view->CounterEstimate(every_event)));
+    ++samples;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stop.store(true);
+  producer.join();
+  ASSERT_TRUE(session.Finish().ok());
+
+  EXPECT_GT(samples, 0);
+  EXPECT_GT(pushed.load(), 0);
+  EXPECT_LT(max_lag, bound) << "over " << samples << " snapshots";
 }
 
 TEST(ClusterTest, ScalesAcrossSiteCounts) {
