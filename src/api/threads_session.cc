@@ -11,6 +11,7 @@
 #include "api/sharded_router.h"
 #include "cluster/site_node.h"
 #include "common/check.h"
+#include "core/error_allocation.h"
 
 namespace dsgm {
 namespace internal {

@@ -5,35 +5,8 @@
 #include <vector>
 
 #include "cluster/coordinator_node.h"
-#include "core/error_allocation.h"
 
 namespace dsgm {
-
-std::vector<float> LayoutEpsilons(const BayesianNetwork& network,
-                                  const TrackerConfig& config) {
-  if (config.strategy == TrackingStrategy::kExactMle) return {};
-  const ErrorAllocation allocation =
-      ComputeAllocation(network, config.strategy, config.epsilon);
-  auto effective = [&config](double nu) {
-    return static_cast<float>(std::min(0.999, config.allocation_relaxation * nu));
-  };
-  const int n = network.num_variables();
-  std::vector<float> epsilons;
-  epsilons.reserve(static_cast<size_t>(network.TotalJointCells() +
-                                       network.TotalParentCells()));
-  for (int i = 0; i < n; ++i) {
-    const int64_t cells = network.parent_cardinality(i) * network.cardinality(i);
-    for (int64_t c = 0; c < cells; ++c) {
-      epsilons.push_back(effective(allocation.joint[static_cast<size_t>(i)]));
-    }
-  }
-  for (int i = 0; i < n; ++i) {
-    for (int64_t c = 0; c < network.parent_cardinality(i); ++c) {
-      epsilons.push_back(effective(allocation.parent[static_cast<size_t>(i)]));
-    }
-  }
-  return epsilons;
-}
 
 void FinalizeClusterResult(const CoordinatorNode& coordinator,
                            const std::vector<uint64_t>& exact_totals,

@@ -1,8 +1,6 @@
-// Shared result/config types and protocol-side helpers of the cluster
-// drivers. The orchestration itself lives behind the public Session API
-// (include/dsgm/session.h, Backend::kThreads / kLocalTcp); the old
-// free-function entry points (RunCluster, RunRemoteCoordinator) are gone —
-// build a Session instead.
+// Shared result type and protocol-side helpers of the cluster drivers,
+// which run behind the public Session API (include/dsgm/session.h,
+// Backend::kThreads / kLocalTcp).
 
 #ifndef DSGM_CLUSTER_CLUSTER_RUNNER_H_
 #define DSGM_CLUSTER_CLUSTER_RUNNER_H_
@@ -10,24 +8,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "bayes/network.h"
-#include "core/tracker_config.h"
 #include "monitor/comm_stats.h"
-#include "net/cluster_transport.h"
 
 namespace dsgm {
-
-/// Configuration of one cluster run.
-struct ClusterConfig {
-  TrackerConfig tracker;  // strategy, epsilon, num_sites, seed
-  int64_t num_events = 100000;
-  /// Events handed to a site per dispatch batch.
-  int batch_size = 256;
-  /// Builds the plumbing between coordinator and sites. Empty means the
-  /// in-process loopback (the pre-transport behavior); pass
-  /// MakeReactorTransport to run the same threads over real sockets.
-  TransportFactory transport;
-};
 
 /// Measurements of one cluster run.
 struct ClusterResult {
@@ -50,12 +33,6 @@ struct ClusterResult {
   uint64_t transport_bytes_down = 0;
   bool transport_measured = false;
 };
-
-/// Per-counter epsilons in the MleTracker counter layout for the given
-/// strategy, or empty for exact mode. Shared by the in-process and remote
-/// (multi-process) coordinator drivers.
-std::vector<float> LayoutEpsilons(const BayesianNetwork& network,
-                                  const TrackerConfig& config);
 
 class CoordinatorNode;
 

@@ -5,19 +5,8 @@
 
 #include "common/check.h"
 #include "common/timer.h"
-#include "monitor/round_schedule.h"
 
 namespace dsgm {
-namespace {
-
-// Codec-calibrated wire payloads, matching monitor/approx_counter.cc (the
-// constants live in monitor/comm_stats.h; tests/codec_test.cc verifies them
-// against actually encoded frames).
-constexpr uint64_t kUpdateBytes = kEstimatedUpdateBytes;
-constexpr uint64_t kBroadcastBytes = kEstimatedBroadcastBytes;
-constexpr uint64_t kSyncBytes = kEstimatedSyncBytes;
-
-}  // namespace
 
 // Publish cadence under load (kPublishEveryBatches): every pop would be
 // freshest; the cadence amortizes each publish's scan and copy over
@@ -33,11 +22,10 @@ CoordinatorNode::CoordinatorNode(std::vector<float> epsilons, int64_t num_counte
                                  std::vector<Channel<RoundAdvance>*> commands)
     : num_counters_(num_counters),
       num_sites_(num_sites),
-      safety_(probability_constant),
-      exact_mode_(epsilons.empty()),
       from_sites_(from_sites),
       commands_(std::move(commands)),
-      epsilons_(std::move(epsilons)),
+      protocol_(std::move(epsilons), num_counters, num_sites,
+                probability_constant),
       rounds_advanced_metric_(
           MetricsRegistry::Global().GetCounter("cluster.coord.rounds_advanced")),
       publishes_metric_(
@@ -60,20 +48,8 @@ CoordinatorNode::CoordinatorNode(std::vector<float> epsilons, int64_t num_counte
       broadcast_messages_gauge_(
           MetricsRegistry::Global().GetGauge("cluster.comm.broadcast_messages")) {
   DSGM_CHECK_EQ(static_cast<int>(commands_.size()), num_sites_);
-  if (!exact_mode_) {
-    DSGM_CHECK_EQ(static_cast<int64_t>(epsilons_.size()), num_counters_);
-  }
   const size_t n = static_cast<size_t>(num_counters_);
-  probs_.assign(n, 1.0f);
-  estimates_.assign(n, 0.0);
-  thresholds_.assign(n, RoundThreshold(0));
-  rounds_.assign(n, 0);
-  sync_pending_.assign(n, 0);
-  sync_counts_.assign(n * static_cast<size_t>(num_sites_), 0);
-  best_reports_.assign(n * static_cast<size_t>(num_sites_), 0);
-  sync_owed_.assign(n * static_cast<size_t>(num_sites_), 0);
   site_done_.assign(static_cast<size_t>(num_sites_), 0);
-  site_dead_.assign(static_cast<size_t>(num_sites_), 0);
   published_[0].estimates.assign(n, 0.0);
   published_[1].estimates.assign(n, 0.0);
   publish_dirty_.assign(n, 0);
@@ -128,6 +104,7 @@ bool CoordinatorNode::PublishSnapshot(bool wait) {
     state.mu.Lock();
   }
   const int64_t publish_start = NowNanos();
+  const std::vector<double>& estimates = protocol_.estimates();
   const uint8_t bit = static_cast<uint8_t>(1u << back);
   const uint64_t any_in_word = 0x0101010101010101ULL * bit;
   uint8_t* const dirty = publish_dirty_.data();
@@ -141,7 +118,7 @@ bool CoordinatorNode::PublishSnapshot(bool wait) {
     }
     for (size_t c = word; c < end; ++c) {
       if (!(dirty[c] & bit)) continue;
-      state.estimates[c] = estimates_[c];
+      state.estimates[c] = estimates[c];
       dirty[c] = static_cast<uint8_t>(dirty[c] & ~bit);
     }
   }
@@ -155,134 +132,47 @@ bool CoordinatorNode::PublishSnapshot(bool wait) {
   return true;
 }
 
-double CoordinatorNode::SiteEstimate(size_t cell, double p) const {
-  const uint32_t sync = sync_counts_[cell];
-  const uint32_t best = best_reports_[cell];
-  if (best <= sync) return static_cast<double>(sync);
-  return static_cast<double>(best) + (1.0 / p - 1.0);
-}
-
-void CoordinatorNode::OnReport(int site, const CounterReport& report) {
-  const size_t c = static_cast<size_t>(report.counter);
-  const size_t cell = c * static_cast<size_t>(num_sites_) + site;
-  const double p = probs_[c];
-  const double before = SiteEstimate(cell, p);
-  if (report.value > std::max(best_reports_[cell], sync_counts_[cell])) {
-    best_reports_[cell] = report.value;
-  }
-  const double delta = SiteEstimate(cell, p) - before;
-  if (delta != 0.0) {
-    estimates_[c] += delta;
-    TouchEstimate(c);
-  }
-  if (!exact_mode_) MaybeAdvance(report.counter);
-}
-
-void CoordinatorNode::OnSync(int site, const CounterReport& report) {
-  const size_t c = static_cast<size_t>(report.counter);
-  const size_t cell = c * static_cast<size_t>(num_sites_) + site;
-  const double p = probs_[c];
-  const double before = SiteEstimate(cell, p);
-  sync_counts_[cell] = std::max(sync_counts_[cell], report.value);
-  // A sync settles this round's state: reports older than the sync carry no
-  // information beyond it.
-  best_reports_[cell] = std::max(best_reports_[cell], sync_counts_[cell]);
-  const double delta = SiteEstimate(cell, p) - before;
-  if (delta != 0.0) {
-    estimates_[c] += delta;
-    TouchEstimate(c);
-  }
-  // Count the reply against the round only while THIS site actually owes
-  // one for this counter: an unsolicited (forged or duplicate) sync must
-  // not drive outstanding_syncs_ negative — which would keep Run's exit
-  // condition false forever — nor consume another site's pending slot.
-  // Invariant: outstanding_syncs_ == sum(sync_pending_) == sum(sync_owed_).
-  if (sync_owed_[cell] && sync_pending_[c] > 0) {
-    sync_owed_[cell] = 0;
-    --outstanding_syncs_;
-    if (--sync_pending_[c] == 0) MaybeAdvance(report.counter);
-  }
-}
-
 void CoordinatorNode::CancelSite(int site) {
   MutexLock lock(&mu_);
-  if (site < 0 || site >= num_sites_) return;
-  const size_t s = static_cast<size_t>(site);
-  if (site_dead_[s]) return;
-  site_dead_[s] = 1;
-  ++dead_sites_;
+  if (!protocol_.CancelSite(site)) return;
   Trace(TraceEventType::kSiteCancelled, site, 0);
+  const size_t s = static_cast<size_t>(site);
   if (!site_done_[s]) {
     site_done_[s] = 1;
     ++done_sites_;
   }
-  // Forgive every sync reply the site still owes. MaybeAdvance is NOT
-  // re-entered here: the run is being failed by the caller's policy, and
-  // advancing rounds against a shrinking quorum would only send commands
-  // nobody needs.
-  for (size_t c = 0; c < static_cast<size_t>(num_counters_); ++c) {
-    const size_t cell = c * static_cast<size_t>(num_sites_) + s;
-    if (sync_owed_[cell] && sync_pending_[c] > 0) {
-      sync_owed_[cell] = 0;
-      --sync_pending_[c];
-      --outstanding_syncs_;
+}
+
+void CoordinatorNode::ApplyBundle(const UpdateBundle& bundle) {
+  const bool sync = bundle.kind == UpdateBundle::Kind::kSync;
+  for (const CounterReport& report : bundle.reports) {
+    if (report.counter < 0 || report.counter >= num_counters_) continue;
+    if (sync ? protocol_.OnSync(report.counter, bundle.site, report.value, &advances_)
+             : protocol_.OnReport(report.counter, bundle.site, report.value,
+                                  &advances_)) {
+      TouchEstimate(static_cast<size_t>(report.counter));
     }
+    if (!advances_.empty()) SendAdvances();
   }
 }
 
-void CoordinatorNode::MaybeAdvance(int64_t counter) {
-  const size_t c = static_cast<size_t>(counter);
-  if (sync_pending_[c] > 0) return;  // Wait for the current round to settle.
-  if (estimates_[c] < thresholds_[c]) return;
-
-  int round = rounds_[c];
-  while (estimates_[c] >= RoundThreshold(round) && round < kMaxRound) ++round;
-  const double new_p = RoundProbability(epsilons_[c], round, num_sites_, safety_);
-  rounds_[c] = static_cast<uint8_t>(round);
-  thresholds_[c] = RoundThreshold(round);
-  if (new_p >= 1.0) {
-    probs_[c] = 1.0f;  // Still exact; transition is silent.
-    return;
+void CoordinatorNode::SendAdvances() {
+  for (const CounterAdvance& advance : advances_) {
+    ++comm_.rounds_advanced;
+    rounds_advanced_metric_->Increment();
+    Trace(TraceEventType::kRoundAdvance, -1, advance.counter);
+    const RoundAdvance command{advance.counter, advance.round, advance.probability};
+    uint64_t live = 0;
+    for (int s = 0; s < num_sites_; ++s) {
+      if (!protocol_.site_live(s)) continue;
+      ++live;
+      commands_[static_cast<size_t>(s)]->Push(command);
+    }
+    comm_.broadcast_messages += live;
+    comm_.wire_messages += live;
+    comm_.bytes_down += kEstimatedBroadcastBytes * live;
   }
-  probs_[c] = static_cast<float>(new_p);
-  // Re-base the estimate on the new p. A cell that reported since its last
-  // sync contributes best + (1/p - 1), and that gap term entered
-  // estimates_[c] under the old p; left in place, the next delta for the
-  // cell would be taken against the new gap and the estimate would stay off
-  // by the difference for good. Until the site's sync reply lands, its
-  // latest report is the best known floor of its count (the in-process
-  // ApproxCounterFamily resets to exact counts on the same transition).
-  const size_t base = c * static_cast<size_t>(num_sites_);
-  double floored = 0.0;
-  for (int s = 0; s < num_sites_; ++s) {
-    const size_t cell = base + static_cast<size_t>(s);
-    sync_counts_[cell] = std::max(sync_counts_[cell], best_reports_[cell]);
-    floored += static_cast<double>(sync_counts_[cell]);
-  }
-  if (floored != estimates_[c]) {
-    estimates_[c] = floored;
-    TouchEstimate(c);
-  }
-  ++comm_.rounds_advanced;
-  rounds_advanced_metric_->Increment();
-  Trace(TraceEventType::kRoundAdvance, -1, counter);
-  // Only sites that can still answer owe a sync; a cancelled (dead) site
-  // would otherwise re-wedge outstanding_syncs_ forever.
-  const int alive = num_sites_ - dead_sites_;
-  sync_pending_[c] = static_cast<uint8_t>(alive);
-  outstanding_syncs_ += alive;
-  comm_.broadcast_messages += static_cast<uint64_t>(alive);
-  comm_.wire_messages += static_cast<uint64_t>(alive);
-  comm_.bytes_down += kBroadcastBytes * static_cast<uint64_t>(alive);
-  for (int s = 0; s < num_sites_; ++s) {
-    if (site_dead_[static_cast<size_t>(s)]) continue;
-    sync_owed_[base + static_cast<size_t>(s)] = 1;
-    RoundAdvance advance;
-    advance.counter = counter;
-    advance.round = round;
-    advance.probability = static_cast<float>(new_p);
-    commands_[static_cast<size_t>(s)]->Push(advance);
-  }
+  advances_.clear();
 }
 
 void CoordinatorNode::Run() {
@@ -292,7 +182,7 @@ void CoordinatorNode::Run() {
       // Under the lock: CancelSite mutates done/outstanding from the
       // transport's liveness thread while this loop is live.
       MutexLock lock(&mu_);
-      if (done_sites_ == num_sites_ && outstanding_syncs_ == 0) break;
+      if (done_sites_ == num_sites_ && protocol_.outstanding() == 0) break;
     }
     batch.clear();
     size_t got = from_sites_->TryPopBatch(&batch, kMergePopBatch);
@@ -326,24 +216,16 @@ void CoordinatorNode::Run() {
           case UpdateBundle::Kind::kReports:
             ++comm_.wire_messages;
             comm_.update_messages += bundle.reports.size();
-            comm_.bytes_up += kUpdateBytes * bundle.reports.size();
-            if (!site_ok) break;
-            for (const CounterReport& report : bundle.reports) {
-              if (report.counter < 0 || report.counter >= num_counters_) continue;
-              OnReport(bundle.site, report);
-            }
+            comm_.bytes_up += kEstimatedUpdateBytes * bundle.reports.size();
+            if (site_ok) ApplyBundle(bundle);
             break;
           case UpdateBundle::Kind::kSync:
             ++comm_.wire_messages;
             comm_.sync_messages += bundle.reports.size();
-            comm_.bytes_up += kSyncBytes * bundle.reports.size();
+            comm_.bytes_up += kEstimatedSyncBytes * bundle.reports.size();
             Trace(TraceEventType::kSyncMessage, bundle.site,
                   static_cast<int64_t>(bundle.reports.size()));
-            if (!site_ok) break;
-            for (const CounterReport& report : bundle.reports) {
-              if (report.counter < 0 || report.counter >= num_counters_) continue;
-              OnSync(bundle.site, report);
-            }
+            if (site_ok) ApplyBundle(bundle);
             break;
           case UpdateBundle::Kind::kSiteDone:
             // One done per real site: a forged or repeated marker must not
@@ -360,7 +242,7 @@ void CoordinatorNode::Run() {
             break;
         }
       }
-      // Publishing happens under mu_ (it reads estimates_/comm_), but
+      // Publishing happens under mu_ (it reads the estimates and comm_), but
       // steady-state snapshot readers synchronize on the BUFFER locks, so a
       // poller still never delays the next PopBatch. State 0 (nobody ever
       // queried) skips publication entirely; state 1 (first query just
@@ -370,7 +252,7 @@ void CoordinatorNode::Run() {
       // handful of gauge stores per ≤kMergePopBatch bundles, invisible next
       // to the protocol work, and a metrics dump needs no access to this
       // node.
-      outstanding_syncs_gauge_->Set(outstanding_syncs_);
+      outstanding_syncs_gauge_->Set(protocol_.outstanding());
       bytes_up_gauge_->Set(static_cast<int64_t>(comm_.bytes_up));
       bytes_down_gauge_->Set(static_cast<int64_t>(comm_.bytes_down));
       wire_messages_gauge_->Set(static_cast<int64_t>(comm_.wire_messages));
@@ -407,7 +289,7 @@ void CoordinatorNode::SnapshotState(std::vector<double>* estimates,
     publish_state_.compare_exchange_strong(expected, 1,
                                            std::memory_order_acq_rel);
     MutexLock lock(&mu_);
-    *estimates = estimates_;
+    *estimates = protocol_.estimates();
     if (comm != nullptr) *comm = comm_;
     return;
   }

@@ -13,15 +13,15 @@
 #include "net/wire.h"
 #include "net/channel.h"
 #include "monitor/comm_stats.h"
+#include "monitor/counter_protocol.h"
 
 namespace dsgm {
 
-/// The coordinator thread: consumes update bundles from all sites, maintains
-/// the per-counter estimates with the unbiased last-report estimator, and
-/// drives round advances. Asynchrony is handled by cumulative-count
-/// semantics (stale messages are max()-ed away) and by a per-counter
-/// "sync pending" gate that defers further advances until every site has
-/// acknowledged the current round.
+/// The coordinator thread: consumes update bundles from all sites and drives
+/// the coordinator half of the counter protocol (monitor/counter_protocol.h)
+/// with them — estimates, round advances, the sync handshake — pushing each
+/// advance to every live site's command queue. On top it keeps the run's
+/// lifecycle, communication stats, metrics and snapshot publication.
 class CoordinatorNode {
  public:
   /// Most bundles one Run() pop takes off the update queue and merges.
@@ -50,7 +50,7 @@ class CoordinatorNode {
   }
   double Estimate(int64_t counter) const DSGM_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
-    return estimates_[static_cast<size_t>(counter)];
+    return protocol_.Estimate(counter);
   }
   int64_t num_counters() const { return num_counters_; }
 
@@ -88,12 +88,13 @@ class CoordinatorNode {
   double ActiveSeconds() const DSGM_EXCLUDES(mu_);
 
  private:
-  void OnReport(int site, const CounterReport& report) DSGM_REQUIRES(mu_);
-  void OnSync(int site, const CounterReport& report) DSGM_REQUIRES(mu_);
-  void MaybeAdvance(int64_t counter) DSGM_REQUIRES(mu_);
-  /// Current per-site estimate contribution of a cell.
-  double SiteEstimate(size_t cell, double p) const DSGM_REQUIRES(mu_);
-  /// Records that estimates_[counter] changed since each buffer's last
+  /// Feeds a valid site's kReports or kSync bundle to the protocol; ids are
+  /// validated first (a forged counter would index out of bounds).
+  void ApplyBundle(const UpdateBundle& bundle) DSGM_REQUIRES(mu_);
+  /// Pushes every advance the protocol decided to the live sites and
+  /// charges the broadcasts.
+  void SendAdvances() DSGM_REQUIRES(mu_);
+  /// Records that the estimate of `counter` changed since each buffer's last
   /// publish: one unconditional byte store, no load, compare or list append
   /// on the report path (the publish finds the marks by scanning). No-op
   /// until the first query activates publication, so runs nobody queries
@@ -117,8 +118,6 @@ class CoordinatorNode {
 
   int64_t num_counters_;
   int num_sites_;
-  double safety_;
-  bool exact_mode_;
   Channel<UpdateBundle>* from_sites_;
   std::vector<Channel<RoundAdvance>*> commands_;
 
@@ -131,30 +130,16 @@ class CoordinatorNode {
   /// holding mu_); readers take exactly one of the two, never both.
   mutable Mutex mu_;
 
-  // Coordinator protocol state (see monitor/approx_counter.h).
-  std::vector<float> epsilons_ DSGM_GUARDED_BY(mu_);
-  std::vector<float> probs_ DSGM_GUARDED_BY(mu_);
-  std::vector<double> estimates_ DSGM_GUARDED_BY(mu_);
-  std::vector<double> thresholds_ DSGM_GUARDED_BY(mu_);
-  std::vector<uint8_t> rounds_ DSGM_GUARDED_BY(mu_);
-  // outstanding sync replies per counter
-  std::vector<uint8_t> sync_pending_ DSGM_GUARDED_BY(mu_);
-  std::vector<uint32_t> sync_counts_ DSGM_GUARDED_BY(mu_);   // [counter*k+site]
-  std::vector<uint32_t> best_reports_ DSGM_GUARDED_BY(mu_);  // [counter*k+site]
-  // [counter * k + site]: reply pending
-  std::vector<uint8_t> sync_owed_ DSGM_GUARDED_BY(mu_);
+  CounterCoordinator protocol_ DSGM_GUARDED_BY(mu_);
+  // Advances the last protocol step decided; empty between steps.
+  std::vector<CounterAdvance> advances_ DSGM_GUARDED_BY(mu_);
   // which sites reported kSiteDone
   std::vector<uint8_t> site_done_ DSGM_GUARDED_BY(mu_);
-  // sites cancelled via CancelSite
-  std::vector<uint8_t> site_dead_ DSGM_GUARDED_BY(mu_);
-
   int done_sites_ DSGM_GUARDED_BY(mu_) = 0;
-  int dead_sites_ DSGM_GUARDED_BY(mu_) = 0;
-  int64_t outstanding_syncs_ DSGM_GUARDED_BY(mu_) = 0;
   CommStats comm_ DSGM_GUARDED_BY(mu_);
 
   // --- Double-buffered snapshot publication ------------------------------
-  // estimates_/comm_ are written only by the Run thread; steady-state
+  // The estimates and comm_ are written only by the Run thread; steady-state
   // readers see them through these published copies (see SnapshotState's
   // contract).
   struct PublishedState {

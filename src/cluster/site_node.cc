@@ -1,22 +1,16 @@
 #include "cluster/site_node.h"
 
-#include "common/check.h"
-#include "common/rng.h"
-
 namespace dsgm {
 
 SiteNode::SiteNode(int site_id, const BayesianNetwork& network, uint64_t seed,
                    Channel<EventBatch>* events, Channel<RoundAdvance>* commands,
                    Channel<UpdateBundle>* to_coordinator)
     : site_id_(site_id),
-      network_(&network),
-      coin_seed_(Rng(seed).Next()),
       events_(events),
       commands_(commands),
       to_coordinator_(to_coordinator),
-      layout_(network) {
-  local_counts_.assign(static_cast<size_t>(layout_.total_counters()), 0);
-  probs_.assign(static_cast<size_t>(layout_.total_counters()), 1.0f);
+      layout_(network),
+      counters_(layout_.total_counters(), seed) {
   // Hot-path buffers: an event reports at most two counters per variable
   // and a bundle spans at most kMaxEventsPerReportBundle events, so once
   // FlushReports has re-reserved the outbox for a whole bundle it never
@@ -30,18 +24,8 @@ SiteNode::SiteNode(int site_id, const BayesianNetwork& network, uint64_t seed,
 
 void SiteNode::ProcessEvent(const int32_t* values) {
   auto increment = [this](int64_t counter) {
-    const uint32_t local = ++local_counts_[static_cast<size_t>(counter)];
-    const float p = probs_[static_cast<size_t>(counter)];
-    // The report coin is a pure function of (seed, counter, local count),
-    // not a draw from one shared stream: which increments of a counter
-    // report then does not depend on when round advances reach this
-    // thread, so a seeded run samples the same increments however the
-    // threads interleave.
-    if (p >= 1.0f ||
-        HashToUnitDouble(coin_seed_ ^ ((static_cast<uint64_t>(counter) << 32) |
-                                       local)) < p) {
-      outbox_.push_back(CounterReport{counter, local});
-    }
+    const uint32_t local = counters_.Increment(counter);
+    if (local != 0) outbox_.push_back(CounterReport{counter, local});
   };
   for (int i = 0; i < layout_.num_vars; ++i) {
     const int64_t row = layout_.ParentRowOf(i, values);
@@ -80,14 +64,11 @@ void SiteNode::DrainCommands(bool block_until_closed) {
     for (const RoundAdvance& advance : commands) {
       // Commands can arrive from a real network peer; reject out-of-range
       // counter ids before indexing.
-      if (advance.counter < 0 ||
-          advance.counter >= static_cast<int64_t>(probs_.size())) {
-        continue;
-      }
-      probs_[static_cast<size_t>(advance.counter)] = advance.probability;
+      if (advance.counter < 0 || advance.counter >= counters_.num_counters()) continue;
       sync.round = advance.round;
       sync.reports.push_back(CounterReport{
-          advance.counter, local_counts_[static_cast<size_t>(advance.counter)]});
+          advance.counter,
+          counters_.OnAdvance(advance.counter, advance.probability)});
       if (advance.round > 0 &&
           static_cast<uint64_t>(advance.round) >
               rounds_seen_.load(std::memory_order_relaxed)) {

@@ -9,14 +9,15 @@
 
 #include "bayes/network.h"
 #include "core/counter_layout.h"
+#include "monitor/counter_protocol.h"
 #include "net/wire.h"
 #include "net/channel.h"
 
 namespace dsgm {
 
-/// One remote site: consumes its event stream, keeps cumulative local
-/// counts for every counter, makes the Bernoulli reporting decisions, and
-/// answers round advances with exact sync replies.
+/// One remote site: consumes its event stream and drives the counter
+/// protocol's site half (monitor/counter_protocol.h) over its channels:
+/// local counts, report coins, sync replies to round advances.
 ///
 /// Reports are bundled per run of events, not per event: the reports of up
 /// to kMaxEventsPerReportBundle consecutive events of one EventBatch travel
@@ -67,7 +68,7 @@ class SiteNode {
 
   /// Exact cumulative local counts; read only after the thread has joined
   /// (used by the runner to validate coordinator estimates).
-  const std::vector<uint32_t>& local_counts() const { return local_counts_; }
+  const std::vector<uint32_t>& local_counts() const { return counters_.counts(); }
 
   /// Pop-batch bound of the event loop: the most EventBatches a site holds
   /// popped but not yet reported (public so tests can bound in-flight
@@ -86,8 +87,6 @@ class SiteNode {
   void DrainCommands(bool block_until_closed);
 
   int site_id_;
-  const BayesianNetwork* network_;
-  uint64_t coin_seed_;  // Keys the per-increment report coins.
   Channel<EventBatch>* events_;
   Channel<RoundAdvance>* commands_;
   Channel<UpdateBundle>* to_coordinator_;
@@ -95,9 +94,8 @@ class SiteNode {
   // Structure metadata (the canonical MleTracker counter flattening).
   CounterLayout layout_;
 
-  // Per-counter site state.
-  std::vector<uint32_t> local_counts_;
-  std::vector<float> probs_;
+  // The protocol's site half: local counts, probabilities, report coins.
+  CounterSite counters_;
 
   /// Reports of the events processed since the last FlushReports.
   std::vector<CounterReport> outbox_;

@@ -1,5 +1,6 @@
 #include "core/error_allocation.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -93,6 +94,30 @@ ErrorAllocation ComputeAllocation(const BayesianNetwork& network,
       break;  // Unreachable; guarded above.
   }
   return allocation;
+}
+
+std::vector<float> LayoutEpsilons(const BayesianNetwork& network,
+                                  const TrackerConfig& config) {
+  if (config.strategy == TrackingStrategy::kExactMle) return {};
+  const ErrorAllocation allocation =
+      ComputeAllocation(network, config.strategy, config.epsilon);
+  auto effective = [&config](double nu) {
+    return static_cast<float>(std::min(0.999, config.allocation_relaxation * nu));
+  };
+  const int n = network.num_variables();
+  std::vector<float> epsilons;
+  epsilons.reserve(static_cast<size_t>(network.TotalJointCells() +
+                                       network.TotalParentCells()));
+  for (int i = 0; i < n; ++i) {
+    const int64_t cells = network.parent_cardinality(i) * network.cardinality(i);
+    epsilons.insert(epsilons.end(), static_cast<size_t>(cells),
+                    effective(allocation.joint[static_cast<size_t>(i)]));
+  }
+  for (int i = 0; i < n; ++i) {
+    epsilons.insert(epsilons.end(), static_cast<size_t>(network.parent_cardinality(i)),
+                    effective(allocation.parent[static_cast<size_t>(i)]));
+  }
+  return epsilons;
 }
 
 }  // namespace dsgm

@@ -49,6 +49,13 @@ double AllocationCost(const std::vector<double>& weights,
 ErrorAllocation ComputeAllocation(const BayesianNetwork& network,
                                   TrackingStrategy strategy, double epsilon);
 
+/// Per-counter ε in the canonical counter layout (core/counter_layout.h:
+/// joint counters first, then parent counters) for `config`: its strategy's
+/// allocation, relaxed by config.allocation_relaxation and capped below 1.
+/// Empty for kExactMle. Every backend's counters are parameterized by it.
+std::vector<float> LayoutEpsilons(const BayesianNetwork& network,
+                                  const TrackerConfig& config);
+
 }  // namespace dsgm
 
 #endif  // DSGM_CORE_ERROR_ALLOCATION_H_

@@ -1,7 +1,6 @@
 #include "core/mle_tracker.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 #include "monitor/approx_counter.h"
@@ -13,39 +12,15 @@ namespace dsgm {
 MleTracker::MleTracker(const BayesianNetwork& network, const TrackerConfig& config)
     : network_(&network), config_(config), layout_(network) {
   DSGM_CHECK(config_.Validate().ok()) << config_.Validate();
-  const int n = network.num_variables();
 
-  // --- Counter families.
-  const int64_t total = layout_.total_counters();
-  const int replicas =
-      config_.strategy == TrackingStrategy::kExactMle ? 1 : config_.replicas;
+  // --- Counter families (exact counters need no replicas).
   if (config_.strategy == TrackingStrategy::kExactMle) {
-    replicas_.push_back(
-        std::make_unique<ExactCounterFamily>(total, config_.num_sites, &comm_));
+    replicas_.push_back(std::make_unique<ExactCounterFamily>(
+        layout_.total_counters(), config_.num_sites, &comm_));
   } else {
-    allocation_ = ComputeAllocation(network, config_.strategy, config_.epsilon);
-    // The allocation is relaxed by a constant before parameterizing the
-    // counters; see TrackerConfig::allocation_relaxation.
-    auto effective = [this](double nu) {
-      return static_cast<float>(std::min(0.999, config_.allocation_relaxation * nu));
-    };
-    std::vector<float> epsilons(static_cast<size_t>(total));
-    for (int i = 0; i < n; ++i) {
-      const int64_t joint_cells =
-          network.parent_cardinality(i) * network.cardinality(i);
-      const float joint_eps = effective(allocation_.joint[static_cast<size_t>(i)]);
-      for (int64_t c = 0; c < joint_cells; ++c) {
-        epsilons[static_cast<size_t>(
-            layout_.joint_base[static_cast<size_t>(i)] + c)] = joint_eps;
-      }
-      const float parent_eps = effective(allocation_.parent[static_cast<size_t>(i)]);
-      for (int64_t c = 0; c < network.parent_cardinality(i); ++c) {
-        epsilons[static_cast<size_t>(
-            layout_.parent_base[static_cast<size_t>(i)] + c)] = parent_eps;
-      }
-    }
+    const std::vector<float> epsilons = LayoutEpsilons(network, config_);
     if (config_.counter_type == CounterType::kDeterministic) {
-      for (int r = 0; r < replicas; ++r) {
+      for (int r = 0; r < config_.replicas; ++r) {
         replicas_.push_back(std::make_unique<DeterministicCounterFamily>(
             epsilons, config_.num_sites, &comm_));
       }
@@ -54,7 +29,7 @@ MleTracker::MleTracker(const BayesianNetwork& network, const TrackerConfig& conf
       options.num_sites = config_.num_sites;
       options.probability_constant = config_.probability_constant;
       uint64_t seed_state = config_.seed;
-      for (int r = 0; r < replicas; ++r) {
+      for (int r = 0; r < config_.replicas; ++r) {
         options.seed = SplitMix64(seed_state);
         replicas_.push_back(
             std::make_unique<ApproxCounterFamily>(epsilons, options, &comm_));

@@ -57,8 +57,6 @@ class MleTracker {
   const CommStats& comm() const { return comm_; }
   const TrackerConfig& config() const { return config_; }
   const BayesianNetwork& network() const { return *network_; }
-  /// Empty for kExactMle, otherwise the per-variable error parameters.
-  const ErrorAllocation& allocation() const { return allocation_; }
   /// Per-counter-state memory across replicas.
   uint64_t MemoryBytes() const;
 
@@ -81,7 +79,6 @@ class MleTracker {
 
   const BayesianNetwork* network_;
   TrackerConfig config_;
-  ErrorAllocation allocation_;
   CommStats comm_;
 
   // The canonical counter-id flattening (core/counter_layout.h): joint

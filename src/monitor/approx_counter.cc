@@ -1,162 +1,77 @@
 #include "monitor/approx_counter.h"
 
-#include <cmath>
-
 #include "common/check.h"
-#include "monitor/round_schedule.h"
+#include "common/rng.h"
 
 namespace dsgm {
-namespace {
 
-// Codec-calibrated wire payloads; see monitor/comm_stats.h.
-constexpr uint64_t kUpdateBytes = kEstimatedUpdateBytes;
-constexpr uint64_t kBroadcastBytes = kEstimatedBroadcastBytes;
-constexpr uint64_t kSyncBytes = kEstimatedSyncBytes;
-
-}  // namespace
-
-ApproxCounterFamily::ApproxCounterFamily(std::vector<float> epsilons,
+ApproxCounterFamily::ApproxCounterFamily(const std::vector<float>& epsilons,
                                          const ApproxCounterOptions& options,
                                          CommStats* stats)
-    : num_counters_(static_cast<int64_t>(epsilons.size())),
-      num_sites_(options.num_sites),
-      safety_(options.probability_constant),
-      stats_(stats),
-      epsilons_(std::move(epsilons)) {
-  DSGM_CHECK_GT(num_counters_, 0);
-  DSGM_CHECK_GT(num_sites_, 0);
+    : stats_(stats),
+      coordinator_(epsilons, static_cast<int64_t>(epsilons.size()),
+                   options.num_sites, options.probability_constant) {
+  DSGM_CHECK_GT(num_counters(), 0);
   DSGM_CHECK(stats_ != nullptr);
-  for (float eps : epsilons_) {
-    DSGM_CHECK(eps > 0.0f && eps <= 1.0f) << "counter epsilon out of (0,1]:" << eps;
-  }
-  const size_t cells = static_cast<size_t>(num_counters_) * num_sites_;
-  site_counts_.assign(cells, 0);
-  sync_counts_.assign(cells, 0);
-  best_reports_.assign(cells, 0);
-  probs_.resize(static_cast<size_t>(num_counters_));
-  estimates_.assign(static_cast<size_t>(num_counters_), 0.0);
-  thresholds_.resize(static_cast<size_t>(num_counters_));
-  rounds_.assign(static_cast<size_t>(num_counters_), 0);
-  for (int64_t c = 0; c < num_counters_; ++c) {
-    probs_[static_cast<size_t>(c)] = static_cast<float>(
-        RoundProbability(epsilons_[static_cast<size_t>(c)], 0, num_sites_, safety_));
-    thresholds_[static_cast<size_t>(c)] = RoundThreshold(0);
-  }
+  // One coin seed per site: the Bernoulli reporting decisions of different
+  // sites are independent.
   Rng seeder(options.seed);
-  site_rngs_.reserve(static_cast<size_t>(num_sites_));
-  for (int s = 0; s < num_sites_; ++s) site_rngs_.push_back(seeder.Split());
+  sites_.reserve(static_cast<size_t>(options.num_sites));
+  for (int s = 0; s < options.num_sites; ++s) {
+    sites_.emplace_back(num_counters(), seeder.Next());
+  }
 }
 
 bool ApproxCounterFamily::Increment(int64_t counter, int site) {
-  DSGM_DCHECK(counter >= 0 && counter < num_counters_);
-  DSGM_DCHECK(site >= 0 && site < num_sites_);
-  const size_t cell = static_cast<size_t>(counter) * num_sites_ + site;
-  const uint32_t local = ++site_counts_[cell];
-
-  const double p = probs_[static_cast<size_t>(counter)];
-  const bool report =
-      p >= 1.0 || site_rngs_[static_cast<size_t>(site)].NextBernoulli(p);
-  if (!report) return false;
+  DSGM_DCHECK(counter >= 0 && counter < num_counters());
+  DSGM_DCHECK(site >= 0 && site < num_sites());
+  const uint32_t value = sites_[static_cast<size_t>(site)].Increment(counter);
+  if (value == 0) return false;
 
   ++stats_->update_messages;
-  stats_->bytes_up += kUpdateBytes;
-  CoordinatorOnReport(counter, site, local);
+  stats_->bytes_up += kEstimatedUpdateBytes;
+  coordinator_.OnReport(counter, site, value, &advances_);
+  if (!advances_.empty()) ResolveAdvances();
   return true;
 }
 
-void ApproxCounterFamily::CoordinatorOnReport(int64_t counter, int site,
-                                              uint32_t value) {
-  const size_t cell = static_cast<size_t>(counter) * num_sites_ + site;
-  const uint32_t sync = sync_counts_[cell];
-  const uint32_t best = best_reports_[cell];
-  const double p = probs_[static_cast<size_t>(counter)];
-  const double gap = 1.0 / p - 1.0;
-  double& estimate = estimates_[static_cast<size_t>(counter)];
-  if (best <= sync) {
-    // First report this round: site estimate moves from sync to value+gap.
-    estimate += (static_cast<double>(value) + gap) - static_cast<double>(sync);
-    best_reports_[cell] = value;
-  } else if (value > best) {
-    estimate += static_cast<double>(value) - static_cast<double>(best);
-    best_reports_[cell] = value;
-  }  // Stale (reordered) reports carry no new information.
-  MaybeAdvanceRounds(counter);
-}
-
-void ApproxCounterFamily::MaybeAdvanceRounds(int64_t counter) {
-  const size_t c = static_cast<size_t>(counter);
-  if (estimates_[c] < thresholds_[c]) return;
-
-  const double old_p = probs_[c];
-  int round = rounds_[c];
-  while (estimates_[c] >= RoundThreshold(round) && round < kMaxRound) ++round;
-  const double new_p =
-      RoundProbability(epsilons_[c], round, num_sites_, safety_);
-  rounds_[c] = static_cast<uint8_t>(round);
-  thresholds_[c] = RoundThreshold(round);
-
-  if (new_p >= 1.0) {
-    // Still in the exact phase: the coordinator state is already exact and
-    // the sites' behaviour is unchanged, so the transition is silent.
-    probs_[c] = 1.0f;
-    return;
-  }
-  probs_[c] = static_cast<float>(new_p);
-  ++stats_->rounds_advanced;
-
-  // Announce the new round to every site.
-  stats_->broadcast_messages += static_cast<uint64_t>(num_sites_);
-  stats_->bytes_down += kBroadcastBytes * static_cast<uint64_t>(num_sites_);
-
-  if (old_p >= 1.0) {
-    // Entering the sampled regime from the exact phase: the coordinator
-    // already knows every site count exactly, sites need no reply.
-    const size_t base = c * static_cast<size_t>(num_sites_);
-    double exact = 0.0;
-    for (int s = 0; s < num_sites_; ++s) {
-      // best_reports_ == site_counts_ during the exact phase.
-      sync_counts_[base + s] = site_counts_[base + s];
-      best_reports_[base + s] = sync_counts_[base + s];
-      exact += static_cast<double>(sync_counts_[base + s]);
+void ApproxCounterFamily::ResolveAdvances() {
+  const uint64_t k = sites_.size();
+  while (!advances_.empty()) {
+    const CounterAdvance advance = advances_.back();
+    advances_.pop_back();
+    ++stats_->rounds_advanced;
+    // Announce the new round to every site.
+    stats_->broadcast_messages += k;
+    stats_->bytes_down += kEstimatedBroadcastBytes * k;
+    if (!advance.from_exact_phase) {
+      // Sampled-phase round change: every site replies with its exact
+      // count. Leaving the exact phase needs no reply: the coordinator
+      // already knows every count.
+      stats_->sync_messages += k;
+      stats_->bytes_up += kEstimatedSyncBytes * k;
     }
-    estimates_[c] = exact;
-    return;
+    for (int s = 0; s < num_sites(); ++s) {
+      const uint32_t exact = sites_[static_cast<size_t>(s)].OnAdvance(
+          advance.counter, advance.probability);
+      coordinator_.OnSync(advance.counter, s, exact, &advances_);
+    }
   }
-
-  // Sampled-phase round change: every site replies with its exact count and
-  // the estimator restarts from exact state.
-  stats_->sync_messages += static_cast<uint64_t>(num_sites_);
-  stats_->bytes_up += kSyncBytes * static_cast<uint64_t>(num_sites_);
-  const size_t base = c * static_cast<size_t>(num_sites_);
-  double exact = 0.0;
-  for (int s = 0; s < num_sites_; ++s) {
-    sync_counts_[base + s] = site_counts_[base + s];
-    best_reports_[base + s] = sync_counts_[base + s];
-    exact += static_cast<double>(sync_counts_[base + s]);
-  }
-  estimates_[c] = exact;
-  // The sync may itself push the estimate over further thresholds.
-  if (estimates_[c] >= thresholds_[c]) MaybeAdvanceRounds(counter);
-}
-
-double ApproxCounterFamily::Estimate(int64_t counter) const {
-  DSGM_DCHECK(counter >= 0 && counter < num_counters_);
-  return estimates_[static_cast<size_t>(counter)];
 }
 
 uint64_t ApproxCounterFamily::ExactTotal(int64_t counter) const {
-  DSGM_DCHECK(counter >= 0 && counter < num_counters_);
-  const size_t base = static_cast<size_t>(counter) * num_sites_;
+  DSGM_DCHECK(counter >= 0 && counter < num_counters());
   uint64_t total = 0;
-  for (int s = 0; s < num_sites_; ++s) total += site_counts_[base + s];
+  for (const CounterSite& site : sites_) {
+    total += site.counts()[static_cast<size_t>(counter)];
+  }
   return total;
 }
 
 uint64_t ApproxCounterFamily::MemoryBytes() const {
-  const uint64_t cells = static_cast<uint64_t>(num_counters_) * num_sites_;
-  return cells * (sizeof(uint32_t) * 3) +
-         static_cast<uint64_t>(num_counters_) *
-             (sizeof(float) * 2 + sizeof(double) * 2 + sizeof(uint8_t));
+  uint64_t total = coordinator_.MemoryBytes();
+  for (const CounterSite& site : sites_) total += site.MemoryBytes();
+  return total;
 }
 
 }  // namespace dsgm

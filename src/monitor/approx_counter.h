@@ -1,33 +1,6 @@
-// Randomized distributed counters (Huang-Yi-Zhang, the paper's Lemma 4).
-//
-// Protocol (per counter, executed over k sites and one coordinator):
-//
-//  * Rounds. Round j uses reporting probability p_j = min(1, c√k/(ε 2^j))
-//    (monitor/round_schedule.h). While p_j = 1 the counter behaves exactly.
-//  * Site side. Each site keeps a cumulative local count n_i. On every
-//    increment it sends its current n_i to the coordinator with
-//    probability p_j.
-//  * Coordinator side. For each site it remembers the exact count at the
-//    last round sync (sync_i) and the largest report received this round
-//    (best_i). Its per-site estimate is
-//        n̂_i = sync_i                       if no report arrived this round,
-//        n̂_i = best_i + (1/p_j - 1)         otherwise,
-//    which is exactly unbiased with variance <= 2/p_j², giving the
-//    family-wide contract E[A] = C and Var[A] = O((εC)²).
-//  * Round advance. When the coordinator estimate Σ_i n̂_i crosses
-//    2^(j+1) it announces the new round to all sites (k broadcast
-//    messages); sites reply with their exact counts (k sync messages) and
-//    the estimator restarts from exact state. Transitions between rounds
-//    whose p stays 1 are free: nothing about the protocol state changes,
-//    so no messages are exchanged (and none would be in a real deployment).
-//
-// Communication per counter: C messages while C <= ~c√k/ε (the exact
-// phase), then O(√k/ε + k) per doubling of the count — i.e.
-// O((√k/ε + k) log C) in the sampled regime, matching Lemma 4 up to the
-// broadcast term that the paper's O-bound absorbs.
-//
-// All counters of one tracker live in one family; state is stored in flat
-// arrays indexed [counter * k + site] for cache-friendly updates.
+// Randomized distributed counters (the paper's Lemma 4) in process: k site
+// halves and one coordinator half of the protocol core
+// (monitor/counter_protocol.h), every round advance resolved synchronously.
 
 #ifndef DSGM_MONITOR_APPROX_COUNTER_H_
 #define DSGM_MONITOR_APPROX_COUNTER_H_
@@ -35,8 +8,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.h"
 #include "monitor/counter_family.h"
+#include "monitor/counter_protocol.h"
 
 namespace dsgm {
 
@@ -53,50 +26,35 @@ struct ApproxCounterOptions {
 class ApproxCounterFamily final : public CounterFamily {
  public:
   /// `epsilons[c]` is the ε of counter c; values must be in (0, 1].
-  ApproxCounterFamily(std::vector<float> epsilons, const ApproxCounterOptions& options,
-                      CommStats* stats);
+  ApproxCounterFamily(const std::vector<float>& epsilons,
+                      const ApproxCounterOptions& options, CommStats* stats);
 
   bool Increment(int64_t counter, int site) override;
-  double Estimate(int64_t counter) const override;
+  double Estimate(int64_t counter) const override {
+    return coordinator_.Estimate(counter);
+  }
   uint64_t ExactTotal(int64_t counter) const override;
 
-  int64_t num_counters() const override { return num_counters_; }
-  int num_sites() const override { return num_sites_; }
+  int64_t num_counters() const override { return coordinator_.num_counters(); }
+  int num_sites() const override { return coordinator_.num_sites(); }
   uint64_t MemoryBytes() const override;
 
   /// Current round of a counter (observability / tests).
-  int round(int64_t counter) const { return rounds_[static_cast<size_t>(counter)]; }
+  int round(int64_t counter) const { return coordinator_.round(counter); }
   /// Current reporting probability of a counter.
   double probability(int64_t counter) const {
-    return probs_[static_cast<size_t>(counter)];
+    return coordinator_.probability(counter);
   }
 
  private:
-  /// Applies a report of cumulative count `value` from `site` to the
-  /// coordinator state of `counter`, then advances rounds as needed.
-  void CoordinatorOnReport(int64_t counter, int site, uint32_t value);
-  void MaybeAdvanceRounds(int64_t counter);
+  /// Announces every pending advance to all sites and feeds their sync
+  /// replies straight back; a settled round may advance again.
+  void ResolveAdvances();
 
-  int64_t num_counters_;
-  int num_sites_;
-  double safety_;
   CommStats* stats_;
-
-  // --- Site-side state, [counter * k + site].
-  std::vector<uint32_t> site_counts_;
-  // --- Coordinator-side state, [counter * k + site].
-  std::vector<uint32_t> sync_counts_;  // exact count at last round sync
-  std::vector<uint32_t> best_reports_; // max report this round (<= sync: none)
-  // --- Coordinator-side per-counter state.
-  std::vector<float> epsilons_;
-  std::vector<float> probs_;        // p_j of the current round
-  std::vector<double> estimates_;   // Σ_i n̂_i, maintained incrementally
-  std::vector<double> thresholds_;  // advance when estimate >= threshold
-  std::vector<uint8_t> rounds_;
-
-  // One RNG per site: the Bernoulli reporting decisions of different sites
-  // are independent streams.
-  std::vector<Rng> site_rngs_;
+  std::vector<CounterSite> sites_;
+  CounterCoordinator coordinator_;
+  std::vector<CounterAdvance> advances_;  // Scratch, empty between calls.
 };
 
 }  // namespace dsgm

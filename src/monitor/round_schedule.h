@@ -1,8 +1,7 @@
-// Round schedule of the randomized distributed counter.
-//
-// Shared between the synchronous simulation (monitor/approx_counter.*) and
-// the threaded cluster implementation (cluster/*) so both speak the exact
-// same protocol.
+// Round schedule of the randomized distributed counter: the reporting
+// probability and advance threshold of each round. The protocol core
+// (monitor/counter_protocol.*) applies it; every backend drives that core,
+// so all of them speak the same protocol.
 
 #ifndef DSGM_MONITOR_ROUND_SCHEDULE_H_
 #define DSGM_MONITOR_ROUND_SCHEDULE_H_

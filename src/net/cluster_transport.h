@@ -67,8 +67,8 @@ class ClusterTransport {
   virtual void Shutdown() {}
 };
 
-/// Builds a transport for `num_sites` sites. An empty factory on
-/// ClusterConfig means loopback.
+/// Builds a transport for `num_sites` sites. An empty factory (the default
+/// of SessionOptions::transport) means loopback.
 using TransportFactory =
     std::function<std::unique_ptr<ClusterTransport>(int num_sites)>;
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -177,6 +178,82 @@ TEST(CoordinatorNodeTest, MidRunAccessorsDoNotRaceTheProtocolThread) {
   EXPECT_EQ(coordinator.Estimate(0), 200.0);
   EXPECT_EQ(coordinator.comm().update_messages, 200u);
   EXPECT_GE(coordinator.comm().update_messages, max_updates_seen);
+}
+
+TEST(CoordinatorNodeTest, SettlesAfterRoundAdvanceWith256Sites) {
+  // Regression: the per-counter count of owed syncs once lived in a byte,
+  // so with 256 live sites an advance recorded 0 owed. Syncs then never
+  // settled the round, rounds re-advanced at once, and Run() never exited.
+  // One counter with ε = 1 leaves the exact phase at 2^5 and, once that
+  // round settled on site 0's 400, advances once more (2^8 <= 400 < 2^9).
+  constexpr int kSites = 256;
+  BoundedQueue<UpdateBundle> updates(4096);
+  QueueChannel<UpdateBundle> update_channel(&updates);
+  std::vector<std::unique_ptr<BoundedQueue<RoundAdvance>>> command_queues;
+  std::vector<std::unique_ptr<QueueChannel<RoundAdvance>>> command_channels;
+  std::vector<Channel<RoundAdvance>*> commands;
+  for (int s = 0; s < kSites; ++s) {
+    command_queues.push_back(std::make_unique<BoundedQueue<RoundAdvance>>(64));
+    command_channels.push_back(std::make_unique<QueueChannel<RoundAdvance>>(
+        command_queues.back().get()));
+    commands.push_back(command_channels.back().get());
+  }
+  CoordinatorNode coordinator({1.0f}, /*num_counters=*/1, kSites, 1.0,
+                              &update_channel, commands);
+
+  UpdateBundle reports;
+  reports.kind = UpdateBundle::Kind::kReports;
+  reports.site = 0;
+  for (uint32_t value = 1; value <= 400; ++value) {
+    reports.reports.push_back({0, value});
+  }
+  ASSERT_TRUE(updates.Push(reports));
+  for (int s = 0; s < kSites; ++s) {
+    UpdateBundle done;
+    done.kind = UpdateBundle::Kind::kSiteDone;
+    done.site = s;
+    ASSERT_TRUE(updates.Push(done));
+  }
+
+  std::atomic<bool> finished{false};
+  std::thread protocol([&] {
+    coordinator.Run();
+    finished.store(true);
+  });
+  // No site threads: this thread answers every advance with the site's
+  // exact count (400 at site 0, nothing elsewhere) until Run() exits.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  int answered = 0;
+  while (!finished.load() && std::chrono::steady_clock::now() < deadline) {
+    bool idle = true;
+    for (int s = 0; s < kSites; ++s) {
+      std::vector<RoundAdvance> advances;
+      command_queues[static_cast<size_t>(s)]->TryPopBatch(&advances, 64);
+      for (const RoundAdvance& advance : advances) {
+        idle = false;
+        ++answered;
+        UpdateBundle sync;
+        sync.kind = UpdateBundle::Kind::kSync;
+        sync.site = s;
+        sync.round = advance.round;
+        sync.reports = {{advance.counter, s == 0 ? 400u : 0u}};
+        // The queue holds every sync even of a wedged run, so this never
+        // blocks past the deadline.
+        EXPECT_TRUE(updates.Push(std::move(sync)));
+      }
+    }
+    if (idle) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool settled = finished.load();
+  // Unwedge a Run() that never settles so the test fails instead of hanging.
+  if (!settled) updates.Close();
+  protocol.join();
+  ASSERT_TRUE(settled) << "Run() did not exit within the deadline; "
+                       << answered << " advances answered";
+  EXPECT_EQ(answered, 2 * kSites);
+  EXPECT_EQ(coordinator.comm().rounds_advanced, 2u);
+  EXPECT_EQ(coordinator.comm().sync_messages, static_cast<uint64_t>(2 * kSites));
+  EXPECT_EQ(coordinator.Estimate(0), 400.0);
 }
 
 TEST(SiteNodeTest, IgnoresForgedRoundAdvances) {
