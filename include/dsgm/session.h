@@ -23,15 +23,20 @@
 // src/api/sharded_router.h), so concurrent producers share no lock on the
 // hot path. Each shard routes its events to uniformly random sites (the
 // paper's arrival model) and hands full batches to the sites over its own
-// single-producer lanes. Events staged in another thread's shard count as
-// in-flight for Snapshot(), which reflects the CALLING thread's accepted
-// events plus whatever the sites have absorbed; a producer thread that
-// exits parks its staged events with the session, and the next Snapshot
-// or Finish (from any thread) delivers them. StreamGroundTruth shares
-// one sampler and remains single-caller, and Finish() must be called after
-// every pushing thread has been joined (or otherwise synchronized-with):
-// it flushes all shards and closes the stream. The network must outlive
-// the session.
+// single-producer lanes. A shard also delivers every staged batch once its
+// oldest one is k × 0.5 ms old (k sites; internal::kStagingDelayPerSiteNanos),
+// checked on the owner's own pushes — so a producer that keeps pushing,
+// however slowly, sees its events reach the sites within that bound. Events
+// staged in another thread's shard count as in-flight for Snapshot(), which
+// reflects the CALLING thread's accepted events plus whatever the sites have
+// absorbed. A producer that stops pushing altogether holds its staged
+// events until its next Push, its Snapshot, its thread's exit or Finish: a
+// producer thread that exits parks its staged events with the session, and
+// the next Snapshot or Finish (from any thread) delivers them.
+// StreamGroundTruth shares one sampler and remains single-caller, and
+// Finish() must be called after every pushing thread has been joined (or
+// otherwise synchronized-with): it flushes all shards and closes the
+// stream. The network must outlive the session.
 
 #ifndef DSGM_INCLUDE_DSGM_SESSION_H_
 #define DSGM_INCLUDE_DSGM_SESSION_H_
@@ -62,6 +67,18 @@ class Session;
 
 namespace internal {
 
+/// A producer's staged events leave its shard within k × this bound
+/// (k = number of sites), or up to kPushesPerClockRead pushes later: once a
+/// shard's oldest staged batch is that old, the shard delivers every staged
+/// batch. Scaling with k keeps a shard that fills a batch per site faster
+/// than the bound (>= 512k events/s at batch 256) from ever aging one out,
+/// and caps age flushes at 2000 batch deliveries per second per shard.
+constexpr int64_t kStagingDelayPerSiteNanos = 500'000;
+/// While anything is staged, the owner reads the clock when a batch starts
+/// and on every this-many pushes, never per push.
+constexpr int kPushesPerClockRead = 8;
+constexpr int64_t kNothingStaged = INT64_MAX;
+
 /// One ingest caller's private state: the routing Rng, the per-site staged
 /// batches, and the per-site delivery lanes the backend binds lazily.
 /// Shards are created on a thread's first Push into a session and live in
@@ -84,6 +101,15 @@ struct IngestShard {
   /// mutex), so post-exit flushes see the owner's final writes.
   std::vector<EventBatch> pending;           // staged events, one per site
   std::vector<Channel<EventBatch>*> lanes;   // backend-bound, one per site
+  /// Staging bound, owner-only like `pending`. `staged_since[s]` is when
+  /// site s's batch got its first event (meaningful while it is non-empty);
+  /// `oldest_staged` caches their minimum (kNothingStaged when the shard
+  /// is empty) and may be stale — older than the true oldest — once its
+  /// batch filled and left; `unclocked_pushes` counts pushes since the
+  /// last clock read.
+  std::vector<int64_t> staged_since;
+  int64_t oldest_staged = kNothingStaged;
+  int unclocked_pushes = 0;
   std::atomic<bool> retired{false};
   /// Serializes the flush paths (Finish's flush-all vs the owner thread's
   /// exit flush). The staging hot path takes no lock: only the owner
@@ -142,8 +168,11 @@ class Session {
   /// blocks the protocol: the coordinator publishes into a double-buffered
   /// epoch snapshot at batch boundaries and Snapshot() reads the stable
   /// buffer. The calling thread's staged dispatch batches are flushed to
-  /// the sites first, so the view reflects every event this thread pushed
-  /// (other threads' staged batches count as in-flight). After a
+  /// the sites first, so the view reflects every event this thread pushed.
+  /// Other threads' staged batches count as in-flight; a thread that keeps
+  /// pushing delivers its own within k × 0.5 ms (see the header's
+  /// Concurrency paragraph), an idle one only at its next Push, Snapshot or
+  /// exit, or at Finish. After a
   /// successful Finish() it returns the final model; after a failed one,
   /// an error.
   virtual StatusOr<ModelView> Snapshot() = 0;
@@ -179,7 +208,9 @@ class Session {
   /// the same schedule the legacy free-function drivers used, so identical
   /// configs produce identical streams on every backend. `batch_size` is
   /// the per-shard staging bound: a shard hands a site its batch once it
-  /// holds this many events (1 = deliver per event).
+  /// holds this many events (1 = deliver per event), or sooner once the
+  /// shard's oldest staged batch is num_sites × kStagingDelayPerSiteNanos
+  /// old.
   Session(Backend backend, const BayesianNetwork& network, int num_sites,
           int batch_size, uint64_t stream_seed, uint64_t router_seed);
 
@@ -227,6 +258,15 @@ class Session {
   internal::IngestShard* RegisterShard() DSGM_EXCLUDES(shards_mu_);
   Status FlushShardLocked(internal::IngestShard* shard)
       DSGM_REQUIRES(shard->flush_mu);
+  /// Hands site `site`'s staged batch (non-empty) to DeliverBatch and
+  /// re-arms the staging buffer: the one delivery step of full batches,
+  /// aged batches and flushes.
+  Status DeliverStaged(internal::IngestShard* shard, int site);
+  /// Owner-only, at a clock reading `now`: recomputes the shard's oldest
+  /// stamp and, when it is staging_delay_nanos_ old, delivers every staged
+  /// batch.
+  Status DeliverAgedBatches(internal::IngestShard* shard, int64_t now)
+      DSGM_EXCLUDES(shard->flush_mu);
   /// Delivers (and releases the buffers of) shards whose owner threads
   /// exited; runs on the Snapshot and Finish flush paths.
   Status FlushOrphanedShards() DSGM_EXCLUDES(orphans_mu_);
@@ -236,6 +276,7 @@ class Session {
   const BayesianNetwork* network_;
   int num_sites_;
   int batch_size_;
+  int64_t staging_delay_nanos_;  // num_sites × kStagingDelayPerSiteNanos
   uint64_t stream_seed_;
   uint64_t router_seed_;
   uint64_t id_;
@@ -260,7 +301,11 @@ struct SessionOptions {
   Backend backend = Backend::kInProcess;
   /// Strategy, epsilon, num_sites, seed, replicas, ... (core/tracker_config.h).
   TrackerConfig tracker;
-  /// Events per dispatch batch on the cluster backends.
+  /// Largest dispatch batch on the cluster backends, in events. A producer
+  /// hands a site its batch once it holds this many events, or earlier once
+  /// the producer's oldest staged batch is num_sites × 0.5 ms old. On
+  /// kThreads and kLocalTcp, batch_size × num_variables × 4 bytes must fit
+  /// one wire frame (64 MiB, kMaxFramePayload); Build() rejects more.
   int batch_size = 256;
   /// kThreads only: plumbing override (e.g. MakeReactorTransport to run
   /// the threaded cluster over real sockets). Empty = in-process loopback.

@@ -10,7 +10,9 @@
 
 #include "api/backends.h"
 #include "common/check.h"
+#include "common/timer.h"
 #include "core/mle_tracker.h"
+#include "net/codec.h"
 
 namespace dsgm {
 
@@ -46,6 +48,11 @@ Counter* IngestEventsStaged() {
 Counter* IngestBatchesFlushed() {
   static Counter* const counter =
       MetricsRegistry::Global().GetCounter("api.ingest.batches_flushed");
+  return counter;
+}
+Counter* IngestBatchesAgedOut() {
+  static Counter* const counter =
+      MetricsRegistry::Global().GetCounter("api.ingest.batches_aged_out");
   return counter;
 }
 
@@ -108,6 +115,7 @@ Session::Session(Backend backend, const BayesianNetwork& network, int num_sites,
       network_(&network),
       num_sites_(num_sites),
       batch_size_(batch_size),
+      staging_delay_nanos_(num_sites * internal::kStagingDelayPerSiteNanos),
       stream_seed_(stream_seed),
       router_seed_(router_seed),
       id_(NextSessionId()),
@@ -170,6 +178,7 @@ internal::IngestShard* Session::RegisterShard() {
                          static_cast<size_t>(network_->num_variables());
   shard->pending.resize(static_cast<size_t>(num_sites_));
   for (EventBatch& batch : shard->pending) batch.values.reserve(reserve);
+  shard->staged_since.assign(static_cast<size_t>(num_sites_), 0);
   shard->lanes.assign(static_cast<size_t>(num_sites_), nullptr);
   {
     MutexLock lock(&shards_mu_);
@@ -198,16 +207,53 @@ Status Session::StageRouted(internal::IngestShard* shard,
   EventBatch& batch = shard->pending[static_cast<size_t>(site)];
   batch.values.insert(batch.values.end(), event.begin(), event.end());
   if (++batch.num_events >= batch_size_) {
-    EventBatch full = std::move(batch);
-    batch = EventBatch{};
-    batch.values.reserve(static_cast<size_t>(batch_size_) *
-                         static_cast<size_t>(network_->num_variables()));
-    IngestEventsStaged()->Add(static_cast<uint64_t>(full.num_events));
-    IngestBatchesFlushed()->Increment();
-    DSGM_RETURN_IF_ERROR(DeliverBatch(*shard, site, std::move(full)));
+    // At batch size 1 (kInProcess) every push ends here: nothing is ever
+    // staged and no clock is read.
+    DSGM_RETURN_IF_ERROR(DeliverStaged(shard, site));
+  } else if (batch.num_events == 1 ||
+             ++shard->unclocked_pushes >= internal::kPushesPerClockRead) {
+    const int64_t now = NowNanos();
+    shard->unclocked_pushes = 0;
+    if (batch.num_events == 1) {
+      shard->staged_since[static_cast<size_t>(site)] = now;
+      shard->oldest_staged = std::min(shard->oldest_staged, now);
+    }
+    if (now - shard->oldest_staged >= staging_delay_nanos_) {
+      DSGM_RETURN_IF_ERROR(DeliverAgedBatches(shard, now));
+    }
   }
   events_pushed_.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
+}
+
+Status Session::DeliverStaged(internal::IngestShard* shard, int site) {
+  EventBatch& batch = shard->pending[static_cast<size_t>(site)];
+  EventBatch full = std::move(batch);
+  batch = EventBatch{};
+  batch.values.reserve(static_cast<size_t>(batch_size_) *
+                       static_cast<size_t>(network_->num_variables()));
+  IngestEventsStaged()->Add(static_cast<uint64_t>(full.num_events));
+  IngestBatchesFlushed()->Increment();
+  return DeliverBatch(*shard, site, std::move(full));
+}
+
+Status Session::DeliverAgedBatches(internal::IngestShard* shard, int64_t now) {
+  // The cached oldest stamp goes stale when its batch fills and leaves, so
+  // recompute the true oldest before cutting any batch short.
+  int64_t oldest = internal::kNothingStaged;
+  uint64_t staged = 0;
+  for (size_t s = 0; s < shard->pending.size(); ++s) {
+    if (shard->pending[s].num_events == 0) continue;
+    oldest = std::min(oldest, shard->staged_since[s]);
+    ++staged;
+  }
+  shard->oldest_staged = oldest;
+  if (now - oldest < staging_delay_nanos_) return Status::Ok();
+  // Every staged batch goes, not just the aged one: aligned deliveries let
+  // one wakeup downstream serve them all.
+  IngestBatchesAgedOut()->Add(staged);
+  MutexLock lock(&shard->flush_mu);
+  return FlushShardLocked(shard);
 }
 
 Status Session::FlushShard(internal::IngestShard* shard) {
@@ -219,17 +265,10 @@ Status Session::FlushShardLocked(internal::IngestShard* shard) {
   // Over pending.size(), not num_sites_: an exit-flushed shard has released
   // its (empty) staging buffers entirely.
   for (size_t s = 0; s < shard->pending.size(); ++s) {
-    EventBatch& batch = shard->pending[s];
-    if (batch.num_events == 0) continue;
-    EventBatch full = std::move(batch);
-    batch = EventBatch{};
-    batch.values.reserve(static_cast<size_t>(batch_size_) *
-                         static_cast<size_t>(network_->num_variables()));
-    IngestEventsStaged()->Add(static_cast<uint64_t>(full.num_events));
-    IngestBatchesFlushed()->Increment();
-    DSGM_RETURN_IF_ERROR(DeliverBatch(*shard, static_cast<int>(s),
-                                      std::move(full)));
+    if (shard->pending[s].num_events == 0) continue;
+    DSGM_RETURN_IF_ERROR(DeliverStaged(shard, static_cast<int>(s)));
   }
+  shard->oldest_staged = internal::kNothingStaged;
   return Status::Ok();
 }
 
@@ -596,6 +635,19 @@ StatusOr<std::unique_ptr<Session>> SessionBuilder::Build() const {
     if (options_.tracker.replicas > 1) {
       return InvalidArgumentError(
           "session: replicas > 1 runs only on Backend::kInProcess");
+    }
+    // A full batch may cross a socket as one kEventBatch frame (kThreads
+    // too, over a reactor transport). Values pack into at most 31 bits, so
+    // 4 bytes per value bounds the encoding, column headers included, for
+    // any batch near the cap.
+    const int64_t worst_case_bytes = int64_t{4} * options_.batch_size *
+                                     network_->num_variables();
+    if (worst_case_bytes > int64_t{kMaxFramePayload}) {
+      return InvalidArgumentError(
+          "session: batch_size " + std::to_string(options_.batch_size) +
+          " x " + std::to_string(network_->num_variables()) +
+          " variables x 4 bytes exceeds the " +
+          std::to_string(kMaxFramePayload) + "-byte wire frame cap");
     }
   }
   if (options_.transport && options_.backend != Backend::kThreads) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -329,6 +330,77 @@ TEST(ConcurrentIngestTest, ExitedProducerThreadsFlushTheirStagedEvents) {
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->events_processed, static_cast<int64_t>(events.size()));
   EXPECT_DOUBLE_EQ(report->max_counter_rel_error, 0.0);
+}
+
+void ExpectStagedEventsAgeOut(Backend backend) {
+  // A producer that keeps pushing, however slowly, must get its staged
+  // events to the sites within the staging bound (k × 0.5 ms, checked on
+  // its own pushes) even though no batch fills, it never snapshots, and it
+  // does not exit. The main thread only polls.
+  const BayesianNetwork net = StudentNetwork();
+  const std::vector<Instance> events = SampleEvents(net, 18);
+  constexpr int kSites = 3;
+  SessionBuilder builder(net);
+  builder.WithBackend(backend)
+      .WithStrategy(TrackingStrategy::kExactMle)
+      .WithSites(kSites)
+      .WithSeed(7)
+      .WithBatchSize(256);
+  StatusOr<std::unique_ptr<Session>> session = builder.Build();
+  ASSERT_TRUE(session.ok()) << session.status();
+  Counter* aged_out =
+      MetricsRegistry::Global().GetCounter("api.ingest.batches_aged_out");
+  const uint64_t aged_out_before = aged_out->Value();
+
+  std::atomic<bool> release{false};
+  std::thread producer([&session, &events, &release] {
+    for (size_t e = 0; e < 10; ++e) {
+      ASSERT_TRUE((*session)->Push(events[e]).ok());
+    }
+    // Sleeps are lower bounds, so the first 10 events are >= 4 × the bound
+    // old when the next 8 pushes (one clock-read stride) arrive.
+    std::this_thread::sleep_for(std::chrono::nanoseconds(
+        4 * kSites * internal::kStagingDelayPerSiteNanos));
+    for (size_t e = 10; e < events.size(); ++e) {
+      ASSERT_TRUE((*session)->Push(events[e]).ok());
+    }
+    // Stay alive, so the thread-exit flush cannot be what delivers them.
+    while (!release.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+
+  // A root variable's parent counter counts every absorbed event.
+  const CounterLayout layout(net);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  double absorbed = 0.0;
+  while (absorbed < 10.0 && std::chrono::steady_clock::now() < deadline) {
+    StatusOr<ModelView> view = (*session)->Snapshot();
+    if (!view.ok()) {
+      ADD_FAILURE() << view.status();
+      break;  // Still release and join the producer below.
+    }
+    absorbed = view->CounterEstimate(layout.ParentId(0, 0));
+    if (absorbed < 10.0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  release.store(true, std::memory_order_release);
+  producer.join();
+  EXPECT_GE(absorbed, 10.0)
+      << "staged events never left their live producer's shard";
+  EXPECT_GE(aged_out->Value() - aged_out_before, 1u);
+
+  StatusOr<RunReport> report = (*session)->Finish();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->events_processed, static_cast<int64_t>(events.size()));
+  EXPECT_DOUBLE_EQ(report->max_counter_rel_error, 0.0);
+}
+
+TEST(ConcurrentIngestTest, StagedEventsAgeOutWhileTheirProducerKeepsPushing) {
+  ExpectStagedEventsAgeOut(Backend::kThreads);
+  ExpectStagedEventsAgeOut(Backend::kLocalTcp);
 }
 
 TEST(ConcurrentIngestTest, ApproxModeConcurrentPushStaysBounded) {

@@ -15,6 +15,7 @@
 
 #include "bayes/repository.h"
 #include "dsgm/dsgm.h"
+#include "net/codec.h"
 
 namespace dsgm {
 namespace {
@@ -273,6 +274,34 @@ TEST(SessionTest, ReplicasAreRejectedOnClusterBackends) {
   SessionBuilder builder(net);
   builder.WithBackend(Backend::kInProcess).WithTracker(tracker);
   EXPECT_TRUE(builder.Build().ok());
+}
+
+// A full dispatch batch crosses a socket as one frame, so Build() must
+// reject a batch_size whose worst-case encoding (4 bytes per value) could
+// exceed kMaxFramePayload instead of letting the first full batch abort
+// the process in the encoder. kInProcess delivers per event and ignores it.
+TEST(SessionTest, BatchTooLargeToFrameIsRejectedAtBuild) {
+  const BayesianNetwork net = StudentNetwork();
+  const int limit = static_cast<int>(
+      kMaxFramePayload / (4u * static_cast<uint32_t>(net.num_variables())));
+  for (Backend backend : {Backend::kThreads, Backend::kLocalTcp}) {
+    SessionBuilder too_large = MakeBuilder(net, backend);
+    too_large.WithBatchSize(limit + 1);
+    const StatusOr<std::unique_ptr<Session>> rejected = too_large.Build();
+    ASSERT_FALSE(rejected.ok()) << "backend " << static_cast<int>(backend);
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(rejected.status().message().find("batch_size"),
+              std::string::npos)
+        << rejected.status();
+
+    SessionBuilder at_limit = MakeBuilder(net, backend);
+    at_limit.WithBatchSize(limit);
+    const StatusOr<std::unique_ptr<Session>> built = at_limit.Build();
+    EXPECT_TRUE(built.ok()) << built.status();
+  }
+  SessionBuilder in_process = MakeBuilder(net, Backend::kInProcess);
+  in_process.WithBatchSize(limit + 1);
+  EXPECT_TRUE(in_process.Build().ok());
 }
 
 TEST(SessionTest, PushValidatesInstances) {
