@@ -1,16 +1,22 @@
 // Micro-benchmarks (google-benchmark): per-increment cost of the counter
-// families and per-event cost of the MLE tracker update/query paths.
+// families, per-event cost of the MLE tracker update/query paths, and the
+// site's per-event counter stage against an exact count of the same ids.
 
 #include <benchmark/benchmark.h>
 
 #include "bayes/repository.h"
 #include "bayes/sampler.h"
+#include "core/counter_layout.h"
+#include "core/error_allocation.h"
 #include "core/mle_tracker.h"
 #include "monitor/approx_counter.h"
+#include "monitor/counter_protocol.h"
 #include "monitor/exact_counter.h"
 
 namespace dsgm {
 namespace {
+
+constexpr int kAlarmPoolEvents = 1 << 17;
 
 void BM_ExactCounterIncrement(benchmark::State& state) {
   CommStats stats;
@@ -63,6 +69,79 @@ void BM_TrackerObserveAlarm(benchmark::State& state) {
 BENCHMARK(BM_TrackerObserveAlarm)
     ->Arg(static_cast<int>(TrackingStrategy::kExactMle))
     ->Arg(static_cast<int>(TrackingStrategy::kNonUniform));
+
+/// 2^17 pre-sampled ALARM events, flat (one value per variable).
+const std::vector<int32_t>& AlarmEventPool() {
+  static const std::vector<int32_t> pool = [] {
+    const BayesianNetwork net = Alarm();
+    ForwardSampler sampler(net, 11);
+    std::vector<int32_t> values;
+    Instance x;
+    for (int e = 0; e < kAlarmPoolEvents; ++e) {
+      sampler.Sample(&x);
+      values.insert(values.end(), x.begin(), x.end());
+    }
+    return values;
+  }();
+  return pool;
+}
+
+/// The site half's per-event stage, as SiteNode runs it: the event's
+/// counter ids from the layout, then one report coin per id. The
+/// probabilities are warm: those an in-process run of the same stream
+/// reached (ALARM, k = 4, ε = 0.1, NONUNIFORM).
+void BM_SiteCounterUpdateAlarm(benchmark::State& state) {
+  const BayesianNetwork net = Alarm();
+  const CounterLayout layout(net);
+  const std::vector<int32_t>& pool = AlarmEventPool();
+  TrackerConfig config;
+  config.num_sites = 4;
+  config.epsilon = 0.1;
+  CommStats stats;
+  ApproxCounterOptions options;
+  options.num_sites = config.num_sites;
+  ApproxCounterFamily warm(LayoutEpsilons(net, config), options, &stats);
+  std::vector<int64_t> ids(2 * static_cast<size_t>(layout.num_vars));
+  for (int e = 0; e < kAlarmPoolEvents; ++e) {
+    layout.EventIds(pool.data() + static_cast<size_t>(e) * layout.num_vars, ids.data());
+    warm.IncrementEvent(ids.data(), static_cast<int>(ids.size()), e % config.num_sites);
+  }
+  CounterSite site(layout.total_counters(), 3);
+  for (int64_t c = 0; c < layout.total_counters(); ++c) {
+    site.OnAdvance(c, static_cast<float>(warm.probability(c)));
+  }
+  int64_t e = 0;
+  uint64_t reports = 0;
+  for (auto _ : state) {
+    layout.EventIds(pool.data() + static_cast<size_t>(e) * layout.num_vars, ids.data());
+    for (const int64_t id : ids) reports += site.Increment(id) != 0;
+    if (++e == kAlarmPoolEvents) e = 0;
+  }
+  benchmark::DoNotOptimize(reports);
+  state.SetItemsProcessed(state.iterations());
+  state.counters["reports_per_event"] =
+      static_cast<double>(reports) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_SiteCounterUpdateAlarm);
+
+/// The floor for the stage above: the same ids, counted exactly.
+void BM_ExactCountAlarm(benchmark::State& state) {
+  const BayesianNetwork net = Alarm();
+  const CounterLayout layout(net);
+  const std::vector<int32_t>& pool = AlarmEventPool();
+  std::vector<uint32_t> counts(static_cast<size_t>(layout.total_counters()));
+  std::vector<int64_t> ids(2 * static_cast<size_t>(layout.num_vars));
+  int64_t e = 0;
+  for (auto _ : state) {
+    layout.EventIds(pool.data() + static_cast<size_t>(e) * layout.num_vars, ids.data());
+    for (const int64_t id : ids) ++counts[static_cast<size_t>(id)];
+    benchmark::DoNotOptimize(counts.data());
+    benchmark::ClobberMemory();
+    if (++e == kAlarmPoolEvents) e = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ExactCountAlarm);
 
 void BM_TrackerJointQueryAlarm(benchmark::State& state) {
   const BayesianNetwork net = Alarm();

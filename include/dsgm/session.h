@@ -217,7 +217,9 @@ class Session {
   /// Backend-specific delivery of one full routed batch. Must be safe to
   /// call from any number of producer threads concurrently; `shard` is the
   /// calling thread's shard (its `lanes` entry for `site` is the backend's
-  /// to bind and reuse).
+  /// to bind and reuse). `batch` is the shard's staging slot: a backend
+  /// that keeps the events moves from it, one that only reads them leaves
+  /// the buffer to be reused for the next batch.
   virtual Status DeliverBatch(internal::IngestShard& shard, int site,
                               EventBatch&& batch) = 0;
 

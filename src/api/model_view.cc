@@ -28,7 +28,7 @@ double ModelView::CpdEstimate(int variable, int value, int64_t parent_row) const
       estimates_[static_cast<size_t>(layout_->JointId(variable, parent_row, value))];
   const double parent =
       estimates_[static_cast<size_t>(layout_->ParentId(variable, parent_row))];
-  const double cardinality = layout_->cards[static_cast<size_t>(variable)];
+  const double cardinality = layout_->card(variable);
   if (laplace_alpha_ > 0.0) {
     return (joint + laplace_alpha_) / (parent + laplace_alpha_ * cardinality);
   }

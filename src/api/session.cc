@@ -228,13 +228,18 @@ Status Session::StageRouted(internal::IngestShard* shard,
 
 Status Session::DeliverStaged(internal::IngestShard* shard, int site) {
   EventBatch& batch = shard->pending[static_cast<size_t>(site)];
-  EventBatch full = std::move(batch);
-  batch = EventBatch{};
-  batch.values.reserve(static_cast<size_t>(batch_size_) *
-                       static_cast<size_t>(network_->num_variables()));
-  IngestEventsStaged()->Add(static_cast<uint64_t>(full.num_events));
+  IngestEventsStaged()->Add(static_cast<uint64_t>(batch.num_events));
   IngestBatchesFlushed()->Increment();
-  return DeliverBatch(*shard, site, std::move(full));
+  Status status = DeliverBatch(*shard, site, std::move(batch));
+  // A backend that keeps the batch moved its buffer out; one that only
+  // read it (kInProcess) left the buffer here for the next batch.
+  batch.num_events = 0;
+  batch.values.clear();
+  if (batch.values.capacity() == 0) {
+    batch.values.reserve(static_cast<size_t>(batch_size_) *
+                         static_cast<size_t>(network_->num_variables()));
+  }
+  return status;
 }
 
 Status Session::DeliverAgedBatches(internal::IngestShard* shard, int64_t now) {
@@ -402,8 +407,6 @@ class InProcessSession final : public Session {
       // and the scaling story belongs to the cluster backends.
       : Session(Backend::kInProcess, network, options.tracker.num_sites,
                 /*batch_size=*/1, seeds.sampler_seed, seeds.router_seed),
-        layout_(std::make_shared<CounterLayout>(network)),
-        scratch_(static_cast<size_t>(network.num_variables())),
         tracker_(network, options.tracker) {
     // The dump fn touches only the process-wide registry (no per-site table
     // in-process), so the base destructor's stop is soon enough.
@@ -453,14 +456,14 @@ class InProcessSession final : public Session {
   }
 
  protected:
+  /// Reads the batch in place and leaves its buffer to the staging slot.
   Status DeliverBatch(internal::IngestShard& /*shard*/, int site,
                       EventBatch&& batch) override {
     MutexLock lock(&tracker_mu_);
-    const int n = layout_->num_vars;
+    const int n = tracker_.layout()->num_vars;
     const int32_t* cursor = batch.values.data();
     for (int32_t e = 0; e < batch.num_events; ++e) {
-      scratch_.assign(cursor, cursor + n);
-      tracker_.Observe(scratch_, site);
+      tracker_.Observe(cursor, site);
       cursor += n;
     }
     return Status::Ok();
@@ -469,11 +472,11 @@ class InProcessSession final : public Session {
  private:
   ModelView BuildView() const DSGM_REQUIRES(tracker_mu_) {
     std::vector<double> estimates(
-        static_cast<size_t>(layout_->total_counters()), 0.0);
+        static_cast<size_t>(tracker_.layout()->total_counters()), 0.0);
     ForEachCell([&estimates](int64_t id, double estimate, uint64_t /*exact*/) {
       estimates[static_cast<size_t>(id)] = estimate;
     });
-    return ModelView(network(), layout_, std::move(estimates),
+    return ModelView(network(), tracker_.layout(), std::move(estimates),
                      tracker_.events_observed(), tracker_.comm(),
                      tracker_.config().laplace_alpha);
   }
@@ -494,28 +497,26 @@ class InProcessSession final : public Session {
 
   template <typename Fn>
   void ForEachCell(Fn&& fn) const DSGM_REQUIRES(tracker_mu_) {
-    const int n = layout_->num_vars;
-    for (int i = 0; i < n; ++i) {
+    const CounterLayout& layout = *tracker_.layout();
+    for (int i = 0; i < layout.num_vars; ++i) {
       const int64_t rows = network().parent_cardinality(i);
       const int card = network().cardinality(i);
       for (int64_t row = 0; row < rows; ++row) {
         for (int value = 0; value < card; ++value) {
-          fn(layout_->JointId(i, row, value),
+          fn(layout.JointId(i, row, value),
              tracker_.JointCounterEstimate(i, value, row),
              tracker_.JointCounterExact(i, value, row));
         }
-        fn(layout_->ParentId(i, row), tracker_.ParentCounterEstimate(i, row),
+        fn(layout.ParentId(i, row), tracker_.ParentCounterEstimate(i, row),
            tracker_.ParentCounterExact(i, row));
       }
     }
   }
 
-  std::shared_ptr<const CounterLayout> layout_;
   /// Serializes tracker access between concurrent producers (one lock per
   /// delivered event) and snapshot/finish readers. Also covers final_view_:
   /// the finished-path read in Snapshot must not race Finish's write.
   mutable Mutex tracker_mu_;
-  Instance scratch_ DSGM_GUARDED_BY(tracker_mu_);  // DeliverBatch decode buffer
   MleTracker tracker_ DSGM_GUARDED_BY(tracker_mu_);
   WallTimer wall_;
   ModelView final_view_ DSGM_GUARDED_BY(tracker_mu_);

@@ -10,7 +10,8 @@ SiteNode::SiteNode(int site_id, const BayesianNetwork& network, uint64_t seed,
       commands_(commands),
       to_coordinator_(to_coordinator),
       layout_(network),
-      counters_(layout_.total_counters(), seed) {
+      counters_(layout_.total_counters(), seed),
+      event_ids_(2 * static_cast<size_t>(layout_.num_vars)) {
   // Hot-path buffers: an event reports at most two counters per variable
   // and a bundle spans at most kMaxEventsPerReportBundle events, so once
   // FlushReports has re-reserved the outbox for a whole bundle it never
@@ -23,16 +24,11 @@ SiteNode::SiteNode(int site_id, const BayesianNetwork& network, uint64_t seed,
 }
 
 void SiteNode::ProcessEvent(const int32_t* values) {
-  auto increment = [this](int64_t counter) {
+  layout_.EventIds(values, event_ids_.data());
+  for (const int64_t counter : event_ids_) {
     const uint32_t local = counters_.Increment(counter);
     if (local != 0) outbox_.push_back(CounterReport{counter, local});
-  };
-  for (int i = 0; i < layout_.num_vars; ++i) {
-    const int64_t row = layout_.ParentRowOf(i, values);
-    increment(layout_.JointId(i, row, values[i]));
-    increment(layout_.ParentId(i, row));
   }
-  events_processed_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void SiteNode::FlushReports() {
@@ -101,6 +97,7 @@ void SiteNode::Run() {
         if ((e + 1) % kMaxEventsPerReportBundle == 0) FlushReports();
       }
       FlushReports();
+      events_processed_.fetch_add(batch.num_events, std::memory_order_relaxed);
     }
     // The outbox is empty here, so this pop's reports precede its syncs.
     DrainCommands(/*block_until_closed=*/false);

@@ -94,8 +94,10 @@ class SiteNode {
   // Structure metadata (the canonical MleTracker counter flattening).
   CounterLayout layout_;
 
-  // The protocol's site half: local counts, probabilities, report coins.
+  // The protocol's site half: local counts, report bounds, report coins.
   CounterSite counters_;
+  // ProcessEvent's scratch: the 2 · num_vars counter ids of one event.
+  std::vector<int64_t> event_ids_;
 
   /// Reports of the events processed since the last FlushReports.
   std::vector<CounterReport> outbox_;
@@ -103,6 +105,7 @@ class SiteNode {
   std::vector<RoundAdvance> command_buffer_;
 
   // Live stats: single writer (the Run() thread), any reader, relaxed.
+  // events_processed_ advances once per batch.
   std::atomic<int64_t> events_processed_{0};
   std::atomic<uint64_t> updates_sent_{0};  // kReports bundles, not reports.
   std::atomic<uint64_t> syncs_sent_{0};

@@ -17,20 +17,14 @@
 
 namespace dsgm {
 
-/// SplitMix64 step: the standard 64-bit mixer used to seed other generators
-/// and to derive independent substreams from one master seed.
+/// SplitMix64 step: the standard 64-bit mixer used to seed other generators,
+/// to derive independent substreams from one master seed, and (applied to a
+/// key) as the counter sites' report coin (monitor/counter_protocol.h).
 inline uint64_t SplitMix64(uint64_t& state) {
   uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
-}
-
-/// Counter-based uniform double in [0, 1): a pure function of `key` (one
-/// SplitMix64 round), for random decisions that must not depend on the
-/// order in which they are made.
-inline double HashToUnitDouble(uint64_t key) {
-  return static_cast<double>(SplitMix64(key) >> 11) * 0x1.0p-53;
 }
 
 /// xoshiro256++ pseudo-random generator. Satisfies the essentials of

@@ -4,24 +4,28 @@ namespace dsgm {
 
 CounterLayout::CounterLayout(const BayesianNetwork& network)
     : num_vars(network.num_variables()) {
-  const size_t n = static_cast<size_t>(num_vars);
-  cards.resize(n);
-  parent_begin.resize(n + 1);
-  joint_base.resize(n);
-  parent_base.resize(n);
+  vars.resize(static_cast<size_t>(num_vars));
+  parents.reserve(static_cast<size_t>(network.dag().num_edges()));
   for (int i = 0; i < num_vars; ++i) {
-    cards[static_cast<size_t>(i)] = network.cardinality(i);
-    joint_base[static_cast<size_t>(i)] = total_joint;
-    total_joint += network.parent_cardinality(i) * network.cardinality(i);
-    parent_begin[static_cast<size_t>(i)] = static_cast<int64_t>(parent_ids.size());
+    VarRecord& var = vars[static_cast<size_t>(i)];
+    var.card = network.cardinality(i);
+    var.joint_base = total_joint;
+    total_joint += network.parent_cardinality(i) * var.card;
+    var.parents_begin = static_cast<int32_t>(parents.size());
     for (int parent : network.dag().parents(i)) {
-      parent_ids.push_back(parent);
-      parent_cards.push_back(network.cardinality(parent));
+      parents.push_back(ParentTerm{parent, 0});
+    }
+    var.parents_end = static_cast<int32_t>(parents.size());
+    // Row-major strides, last parent fastest.
+    int64_t stride = 1;
+    for (int32_t j = var.parents_end; j-- > var.parents_begin;) {
+      ParentTerm& term = parents[static_cast<size_t>(j)];
+      term.stride = stride;
+      stride *= network.cardinality(term.variable);
     }
   }
-  parent_begin[n] = static_cast<int64_t>(parent_ids.size());
   for (int i = 0; i < num_vars; ++i) {
-    parent_base[static_cast<size_t>(i)] = total_joint + total_parent;
+    vars[static_cast<size_t>(i)].parent_base = total_joint + total_parent;
     total_parent += network.parent_cardinality(i);
   }
 }

@@ -20,49 +20,83 @@ namespace dsgm {
 struct CounterLayout {
   explicit CounterLayout(const BayesianNetwork& network);
 
+  /// Where one variable's counters live.
+  struct VarRecord {
+    int64_t joint_base = 0;   // first joint counter id
+    int64_t parent_base = 0;  // first parent counter id
+    int32_t card = 0;         // domain size J_i
+    /// The variable's parents are parents[parents_begin, parents_end).
+    int32_t parents_begin = 0;
+    int32_t parents_end = 0;
+  };
+  /// One parent of a variable and its stride in the variable's parent-row
+  /// index: row = Σ values[variable] · stride over the parents. The last
+  /// parent has stride 1 and each earlier one the product of the later
+  /// parents' domain sizes, the row-major order of the CPD table.
+  struct ParentTerm {
+    int32_t variable = 0;
+    int64_t stride = 0;
+  };
+
   int num_vars = 0;
-  /// Domain size J_i per variable.
-  std::vector<int32_t> cards;
-  /// Parents of variable i are parent_ids[parent_begin[i] ..
-  /// parent_begin[i+1]), with their cardinalities alongside.
-  std::vector<int32_t> parent_ids;
-  std::vector<int32_t> parent_cards;
-  std::vector<int64_t> parent_begin;  // size num_vars + 1
-  /// First joint / parent counter id of each variable.
-  std::vector<int64_t> joint_base;
-  std::vector<int64_t> parent_base;
+  std::vector<VarRecord> vars;
+  std::vector<ParentTerm> parents;
   int64_t total_joint = 0;
   int64_t total_parent = 0;
 
   int64_t total_counters() const { return total_joint + total_parent; }
+  int card(int variable) const { return vars[static_cast<size_t>(variable)].card; }
 
   int64_t JointId(int variable, int64_t parent_row, int value) const {
-    return joint_base[static_cast<size_t>(variable)] +
-           parent_row * cards[static_cast<size_t>(variable)] + value;
+    const VarRecord& var = vars[static_cast<size_t>(variable)];
+    return var.joint_base + parent_row * var.card + value;
   }
   int64_t ParentId(int variable, int64_t parent_row) const {
-    return parent_base[static_cast<size_t>(variable)] + parent_row;
+    return vars[static_cast<size_t>(variable)].parent_base + parent_row;
   }
 
+  /// Row index of `variable`'s parent assignment, reading the value of
+  /// parent variable u from `value_of(u)`.
+  template <typename ValueFn>
+  int64_t ParentRow(int variable, ValueFn&& value_of) const {
+    const VarRecord& var = vars[static_cast<size_t>(variable)];
+    return RowOver(parents.data() + var.parents_begin,
+                   parents.data() + var.parents_end, value_of);
+  }
   /// Row index of `variable`'s parent assignment under a full instance,
   /// given as a flat values array (one value per variable).
   int64_t ParentRowOf(int variable, const int32_t* values) const {
-    const int64_t begin = parent_begin[static_cast<size_t>(variable)];
-    const int64_t end = parent_begin[static_cast<size_t>(variable) + 1];
-    int64_t row = 0;
-    for (int64_t j = begin; j < end; ++j) {
-      row = row * parent_cards[static_cast<size_t>(j)] +
-            values[parent_ids[static_cast<size_t>(j)]];
-    }
-    return row;
+    return ParentRow(variable, [values](int32_t u) { return values[u]; });
   }
   int64_t ParentRowOf(int variable, const Instance& instance) const {
-    const int64_t begin = parent_begin[static_cast<size_t>(variable)];
-    const int64_t end = parent_begin[static_cast<size_t>(variable) + 1];
+    return ParentRowOf(variable, instance.data());
+  }
+
+  /// Writes the 2 · num_vars counter ids one full instance increments, in
+  /// increment order: variable i's joint id, then its parent id.
+  void EventIds(const int32_t* values, int64_t* ids) const {
+    // The variables' parent ranges are consecutive: one walk covers them.
+    const ParentTerm* term = parents.data();
+    for (int i = 0; i < num_vars; ++i) {
+      const VarRecord& var = vars[static_cast<size_t>(i)];
+      DSGM_DCHECK(values[i] >= 0 && values[i] < var.card);
+      const ParentTerm* end = parents.data() + var.parents_end;
+      const int64_t row = RowOver(term, end, [values](int32_t u) { return values[u]; });
+      term = end;
+      ids[0] = var.joint_base + row * var.card + values[i];
+      ids[1] = var.parent_base + row;
+      ids += 2;
+    }
+  }
+
+ private:
+  /// Σ value_of(u) · stride over the parent terms [term, end).
+  template <typename ValueFn>
+  static int64_t RowOver(const ParentTerm* term, const ParentTerm* end,
+                         ValueFn&& value_of) {
     int64_t row = 0;
-    for (int64_t j = begin; j < end; ++j) {
-      row = row * parent_cards[static_cast<size_t>(j)] +
-            instance[static_cast<size_t>(parent_ids[static_cast<size_t>(j)])];
+    for (; term != end; ++term) {
+      row += static_cast<int64_t>(value_of(term->variable)) * term->stride;
     }
     return row;
   }
@@ -85,19 +119,13 @@ double ClosedAssignmentProbability(const CounterLayout& layout,
     const int i = assignment.nodes[j];
     // Parent row from the values present in the subset (ancestral closure
     // guarantees every parent is present).
-    const int64_t begin = layout.parent_begin[static_cast<size_t>(i)];
-    const int64_t end = layout.parent_begin[static_cast<size_t>(i) + 1];
-    int64_t row = 0;
-    for (int64_t u = begin; u < end; ++u) {
-      const int parent = layout.parent_ids[static_cast<size_t>(u)];
+    const int64_t row = layout.ParentRow(i, [&assignment](int32_t parent) {
       const auto it = std::lower_bound(assignment.nodes.begin(),
                                        assignment.nodes.end(), parent);
       DSGM_DCHECK(it != assignment.nodes.end() && *it == parent)
           << "assignment is not ancestrally closed";
-      const size_t pos = static_cast<size_t>(it - assignment.nodes.begin());
-      row = row * layout.parent_cards[static_cast<size_t>(u)] +
-            assignment.values[pos];
-    }
+      return assignment.values[static_cast<size_t>(it - assignment.nodes.begin())];
+    });
     prob *= cpd(i, assignment.values[j], row);
   }
   return prob;

@@ -10,13 +10,16 @@
 namespace dsgm {
 
 MleTracker::MleTracker(const BayesianNetwork& network, const TrackerConfig& config)
-    : network_(&network), config_(config), layout_(network) {
+    : network_(&network),
+      config_(config),
+      layout_(std::make_shared<const CounterLayout>(network)),
+      event_ids_(2 * static_cast<size_t>(layout_->num_vars)) {
   DSGM_CHECK(config_.Validate().ok()) << config_.Validate();
 
   // --- Counter families (exact counters need no replicas).
   if (config_.strategy == TrackingStrategy::kExactMle) {
     replicas_.push_back(std::make_unique<ExactCounterFamily>(
-        layout_.total_counters(), config_.num_sites, &comm_));
+        layout_->total_counters(), config_.num_sites, &comm_));
   } else {
     const std::vector<float> epsilons = LayoutEpsilons(network, config_);
     if (config_.counter_type == CounterType::kDeterministic) {
@@ -38,21 +41,13 @@ MleTracker::MleTracker(const BayesianNetwork& network, const TrackerConfig& conf
   }
 }
 
-void MleTracker::Observe(const Instance& instance, int site) {
-  DSGM_DCHECK(static_cast<int>(instance.size()) == network_->num_variables());
+void MleTracker::Observe(const int32_t* values, int site) {
   DSGM_DCHECK(site >= 0 && site < config_.num_sites);
-  const int n = network_->num_variables();
+  layout_->EventIds(values, event_ids_.data());
+  const int n = static_cast<int>(event_ids_.size());
   bool any_sent = false;
-  for (int i = 0; i < n; ++i) {
-    const int64_t row = layout_.ParentRowOf(i, instance);
-    const int value = instance[static_cast<size_t>(i)];
-    DSGM_DCHECK(value >= 0 && value < layout_.cards[static_cast<size_t>(i)]);
-    const int64_t joint_id = layout_.JointId(i, row, value);
-    const int64_t parent_id = layout_.ParentId(i, row);
-    for (auto& family : replicas_) {
-      any_sent |= family->Increment(joint_id, site);
-      any_sent |= family->Increment(parent_id, site);
-    }
+  for (auto& family : replicas_) {
+    any_sent |= family->IncrementEvent(event_ids_.data(), n, site);
   }
   if (any_sent) ++comm_.wire_messages;
   ++events_observed_;
@@ -71,17 +66,17 @@ double MleTracker::MedianEstimate(int64_t counter) const {
 int64_t MleTracker::JointCounterId(int variable, int value,
                                    int64_t parent_row) const {
   DSGM_DCHECK(variable >= 0 && variable < network_->num_variables());
-  DSGM_DCHECK(value >= 0 && value < layout_.cards[static_cast<size_t>(variable)]);
+  DSGM_DCHECK(value >= 0 && value < layout_->card(variable));
   DSGM_DCHECK(parent_row >= 0 &&
               parent_row < network_->parent_cardinality(variable));
-  return layout_.JointId(variable, parent_row, value);
+  return layout_->JointId(variable, parent_row, value);
 }
 
 int64_t MleTracker::ParentCounterId(int variable, int64_t parent_row) const {
   DSGM_DCHECK(variable >= 0 && variable < network_->num_variables());
   DSGM_DCHECK(parent_row >= 0 &&
               parent_row < network_->parent_cardinality(variable));
-  return layout_.ParentId(variable, parent_row);
+  return layout_->ParentId(variable, parent_row);
 }
 
 double MleTracker::JointCounterEstimate(int variable, int value,
@@ -105,7 +100,7 @@ uint64_t MleTracker::ParentCounterExact(int variable, int64_t parent_row) const 
 double MleTracker::CpdEstimate(int variable, int value, int64_t parent_row) const {
   const double joint = MedianEstimate(JointCounterId(variable, value, parent_row));
   const double parent = MedianEstimate(ParentCounterId(variable, parent_row));
-  const double cardinality = layout_.cards[static_cast<size_t>(variable)];
+  const double cardinality = layout_->card(variable);
   if (config_.laplace_alpha > 0.0) {
     return (joint + config_.laplace_alpha) /
            (parent + config_.laplace_alpha * cardinality);
@@ -121,7 +116,7 @@ double MleTracker::CpdEstimate(int variable, int value, int64_t parent_row) cons
 
 double MleTracker::JointProbability(const PartialAssignment& assignment) const {
   return ClosedAssignmentProbability(
-      layout_, assignment, [this](int variable, int value, int64_t row) {
+      *layout_, assignment, [this](int variable, int value, int64_t row) {
         return CpdEstimate(variable, value, row);
       });
 }
@@ -131,7 +126,7 @@ double MleTracker::JointProbability(const Instance& instance) const {
   double prob = 1.0;
   for (int i = 0; i < network_->num_variables(); ++i) {
     prob *= CpdEstimate(i, instance[static_cast<size_t>(i)],
-                        layout_.ParentRowOf(i, instance));
+                        layout_->ParentRowOf(i, instance));
   }
   return prob;
 }

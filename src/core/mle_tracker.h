@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bayes/network.h"
+#include "common/check.h"
 #include "core/counter_layout.h"
 #include "core/error_allocation.h"
 #include "core/tracker_config.h"
@@ -37,8 +38,13 @@ class MleTracker {
   MleTracker(const MleTracker&) = delete;
   MleTracker& operator=(const MleTracker&) = delete;
 
-  /// Registers one training instance received at `site` (Algorithm 2).
-  void Observe(const Instance& instance, int site);
+  /// Registers one training instance received at `site` (Algorithm 2),
+  /// given as a flat values array (one value per variable).
+  void Observe(const int32_t* values, int site);
+  void Observe(const Instance& instance, int site) {
+    DSGM_DCHECK(static_cast<int>(instance.size()) == layout_->num_vars);
+    Observe(instance.data(), site);
+  }
 
   /// Estimated CPD entry p̃_i(value | parent_row) = A_i(v,row)/A_i(row).
   /// Returns the uniform 1/J_i when the parent row has no observed mass.
@@ -68,8 +74,10 @@ class MleTracker {
   double ParentCounterEstimate(int variable, int64_t parent_row) const;
   uint64_t ParentCounterExact(int variable, int64_t parent_row) const;
 
-  int64_t num_joint_counters() const { return layout_.total_joint; }
-  int64_t num_parent_counters() const { return layout_.total_parent; }
+  /// The tracker's counter layout, shared with the views built from it.
+  const std::shared_ptr<const CounterLayout>& layout() const { return layout_; }
+  int64_t num_joint_counters() const { return layout_->total_joint; }
+  int64_t num_parent_counters() const { return layout_->total_parent; }
 
  private:
   int64_t JointCounterId(int variable, int value, int64_t parent_row) const;
@@ -83,10 +91,12 @@ class MleTracker {
 
   // The canonical counter-id flattening (core/counter_layout.h): joint
   // counters first, then parent counters; one id space per replica.
-  CounterLayout layout_;
+  std::shared_ptr<const CounterLayout> layout_;
 
   // One counter family per replica (Theorem 1's median amplification).
   std::vector<std::unique_ptr<CounterFamily>> replicas_;
+  // Observe's scratch: the 2 · num_vars counter ids of the current event.
+  std::vector<int64_t> event_ids_;
 
   int64_t events_observed_ = 0;
 };

@@ -35,6 +35,12 @@ bool ApproxCounterFamily::Increment(int64_t counter, int site) {
   return true;
 }
 
+bool ApproxCounterFamily::IncrementEvent(const int64_t* ids, int n, int site) {
+  bool sent = false;
+  for (int j = 0; j < n; ++j) sent |= Increment(ids[j], site);
+  return sent;
+}
+
 void ApproxCounterFamily::ResolveAdvances() {
   const uint64_t k = sites_.size();
   while (!advances_.empty()) {

@@ -29,7 +29,8 @@ class ApproxCounterFamily final : public CounterFamily {
   ApproxCounterFamily(const std::vector<float>& epsilons,
                       const ApproxCounterOptions& options, CommStats* stats);
 
-  bool Increment(int64_t counter, int site) override;
+  bool Increment(int64_t counter, int site);  // One occurrence.
+  bool IncrementEvent(const int64_t* ids, int n, int site) override;
   double Estimate(int64_t counter) const override {
     return coordinator_.Estimate(counter);
   }

@@ -25,10 +25,13 @@ class CounterFamily {
  public:
   virtual ~CounterFamily() = default;
 
-  /// Registers one event occurrence for `counter` at `site`. Returns true
-  /// iff the site emitted at least one site->coordinator message (the
-  /// tracker uses this to account bundled wire messages).
-  virtual bool Increment(int64_t counter, int site) = 0;
+  /// Registers one event at `site`: increments counters ids[0..n) in that
+  /// order. Returns true iff the site emitted at least one
+  /// site->coordinator message (the tracker uses this to account bundled
+  /// wire messages). One call per event, not per counter: each concrete
+  /// family loops its own non-virtual Increment(counter, site), so the
+  /// per-increment work inlines.
+  virtual bool IncrementEvent(const int64_t* ids, int n, int site) = 0;
 
   /// The coordinator's current estimate of the counter's total.
   virtual double Estimate(int64_t counter) const = 0;

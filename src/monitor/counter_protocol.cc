@@ -1,5 +1,6 @@
 #include "monitor/counter_protocol.h"
 
+#include <cmath>
 #include <limits>
 
 #include "common/check.h"
@@ -10,7 +11,15 @@ namespace dsgm {
 CounterSite::CounterSite(int64_t num_counters, uint64_t seed)
     : coin_seed_(Rng(seed).Next()),
       counts_(static_cast<size_t>(num_counters)),
-      probs_(static_cast<size_t>(num_counters), 1.0f) {}
+      report_bounds_(static_cast<size_t>(num_counters), ReportBound(1.0f)) {}
+
+uint64_t CounterSite::ReportBound(float probability) {
+  constexpr uint64_t kDraws = uint64_t{1} << 53;  // h >> 11 is in [0, 2^53)
+  if (probability >= 1.0f) return kDraws;
+  if (!(probability > 0.0f)) return 0;
+  return static_cast<uint64_t>(
+      std::ceil(static_cast<double>(probability) * static_cast<double>(kDraws)));
+}
 
 CounterCoordinator::CounterCoordinator(std::vector<float> epsilons,
                                        int64_t num_counters, int num_sites,

@@ -49,8 +49,17 @@ struct CounterAdvance {
   bool from_exact_phase = false;
 };
 
-/// Site half: cumulative local counts, the current reporting probability of
-/// every counter, and the report coin.
+/// Site half: cumulative local counts, the current report bound of every
+/// counter, and the report coin.
+///
+/// The coin. Increment n_i of counter c draws h = SplitMix64(key) with
+/// key = coin_seed ^ (c << 32 | n_i) and reports iff u = (h >> 11) · 2^-53
+/// is below p. Since h >> 11 is an integer in [0, 2^53) and p is a float,
+/// p · 2^53 is exact in a double, so u < p holds exactly when
+/// h >> 11 < ceil(p · 2^53). OnAdvance stores that bound (2^53 at p = 1,
+/// where every draw passes), so an increment costs one hash and one
+/// integer compare, with the same outcome for every key as the
+/// floating-point comparison.
 class CounterSite {
  public:
   CounterSite(int64_t num_counters, uint64_t seed);
@@ -58,28 +67,36 @@ class CounterSite {
   /// Counts one increment. Returns the new cumulative count when the
   /// increment reports, 0 when it does not.
   uint32_t Increment(int64_t counter) {
-    const uint32_t local = ++counts_[static_cast<size_t>(counter)];
-    const float p = probs_[static_cast<size_t>(counter)];
+    const size_t c = static_cast<size_t>(counter);
+    const uint32_t local = ++counts_[c];
     const uint64_t key = coin_seed_ ^ ((static_cast<uint64_t>(counter) << 32) | local);
-    return p >= 1.0f || HashToUnitDouble(key) < p ? local : 0;
+    return Reports(key, report_bounds_[c]) ? local : 0;
   }
 
   /// Applies a round advance; returns the exact count for the sync reply.
   uint32_t OnAdvance(int64_t counter, float probability) {
-    probs_[static_cast<size_t>(counter)] = probability;
+    report_bounds_[static_cast<size_t>(counter)] = ReportBound(probability);
     return counts_[static_cast<size_t>(counter)];
+  }
+
+  /// The coin's bound at reporting probability p: ceil(p · 2^53), 2^53 for
+  /// p >= 1 and 0 for p <= 0 or NaN (which never report).
+  static uint64_t ReportBound(float probability);
+  /// The report coin of `key` under `bound`.
+  static bool Reports(uint64_t key, uint64_t bound) {
+    return (SplitMix64(key) >> 11) < bound;
   }
 
   int64_t num_counters() const { return static_cast<int64_t>(counts_.size()); }
   const std::vector<uint32_t>& counts() const { return counts_; }
   uint64_t MemoryBytes() const {
-    return counts_.size() * (sizeof(uint32_t) + sizeof(float));
+    return counts_.size() * (sizeof(uint32_t) + sizeof(uint64_t));
   }
 
  private:
   uint64_t coin_seed_;  // Keys the per-increment report coins.
   std::vector<uint32_t> counts_;
-  std::vector<float> probs_;
+  std::vector<uint64_t> report_bounds_;
 };
 
 /// Coordinator half, over flat [counter * k + site] arrays. OnReport and

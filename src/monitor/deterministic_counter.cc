@@ -51,6 +51,12 @@ bool DeterministicCounterFamily::Increment(int64_t counter, int site) {
   return true;
 }
 
+bool DeterministicCounterFamily::IncrementEvent(const int64_t* ids, int n, int site) {
+  bool sent = false;
+  for (int j = 0; j < n; ++j) sent |= Increment(ids[j], site);
+  return sent;
+}
+
 double DeterministicCounterFamily::Estimate(int64_t counter) const {
   DSGM_DCHECK(counter >= 0 && counter < num_counters_);
   return estimates_[static_cast<size_t>(counter)];

@@ -28,7 +28,8 @@ class DeterministicCounterFamily final : public CounterFamily {
   DeterministicCounterFamily(std::vector<float> epsilons, int num_sites,
                              CommStats* stats);
 
-  bool Increment(int64_t counter, int site) override;
+  bool Increment(int64_t counter, int site);  // One occurrence.
+  bool IncrementEvent(const int64_t* ids, int n, int site) override;
   double Estimate(int64_t counter) const override;
   uint64_t ExactTotal(int64_t counter) const override;
 

@@ -31,6 +31,12 @@ bool ExactCounterFamily::Increment(int64_t counter, int site) {
   return true;
 }
 
+bool ExactCounterFamily::IncrementEvent(const int64_t* ids, int n, int site) {
+  bool sent = false;
+  for (int j = 0; j < n; ++j) sent |= Increment(ids[j], site);
+  return sent;
+}
+
 double ExactCounterFamily::Estimate(int64_t counter) const {
   DSGM_DCHECK(counter >= 0 && counter < num_counters());
   return static_cast<double>(totals_[static_cast<size_t>(counter)]);

@@ -16,7 +16,8 @@ class ExactCounterFamily final : public CounterFamily {
  public:
   ExactCounterFamily(int64_t num_counters, int num_sites, CommStats* stats);
 
-  bool Increment(int64_t counter, int site) override;
+  bool Increment(int64_t counter, int site);  // One occurrence.
+  bool IncrementEvent(const int64_t* ids, int n, int site) override;
   double Estimate(int64_t counter) const override;
   uint64_t ExactTotal(int64_t counter) const override;
 

@@ -10,10 +10,12 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
 #include "monitor/counter_protocol.h"
+#include "monitor/round_schedule.h"
 
 namespace dsgm {
 namespace {
@@ -217,6 +219,81 @@ TEST(CounterProtocolTest, SiteHalfReportsByAPureCoin) {
   // The coin is a pure function of (seed, counter, count).
   EXPECT_EQ(reports_of(9), reports);
   EXPECT_NE(reports_of(10), reports);
+}
+
+/// Inverse of x ^= x >> shift.
+uint64_t UnXorShift(uint64_t y, int shift) {
+  uint64_t x = y;
+  for (int i = 0; i < 64 / shift; ++i) x = y ^ (x >> shift);
+  return x;
+}
+
+/// Inverse of an odd multiplier mod 2^64 (Newton: each step doubles the
+/// correct low bits, from 3).
+uint64_t InverseOdd(uint64_t a) {
+  uint64_t x = a;
+  for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+  return x;
+}
+
+/// A key whose SplitMix64 hash is `hash` (every step of the mixer is a
+/// bijection).
+uint64_t KeyHashingTo(uint64_t hash) {
+  uint64_t z = UnXorShift(hash, 31) * InverseOdd(0x94d049bb133111ebULL);
+  z = UnXorShift(z, 27) * InverseOdd(0xbf58476d1ce4e5b9ULL);
+  return UnXorShift(z, 30) - 0x9e3779b97f4a7c15ULL;
+}
+
+TEST(CounterProtocolTest, IntegerCoinMatchesUnitDoubleCoin) {
+  // The reference: the hash mapped to a double in [0, 1) and compared with
+  // p, with p >= 1 always reporting.
+  auto reference = [](uint64_t key, float p) {
+    const double u = static_cast<double>(SplitMix64(key) >> 11) * 0x1.0p-53;
+    return p >= 1.0f || u < static_cast<double>(p);
+  };
+  std::vector<float> probabilities = {
+      1.0f, std::nextafter(1.0f, 0.0f), 0.5f, 1e-30f, 0.0f,
+      std::numeric_limits<float>::denorm_min(),
+      static_cast<float>(RoundProbability(1.0, kMaxRound, 1, 1.0))};
+  for (int j = 1; j <= kMaxRound; ++j) {
+    probabilities.push_back(std::ldexp(1.0f, -j));
+  }
+  Rng rng(2026);
+  for (int i = 0; i < 100000; ++i) {
+    // Half uniform in [0, 1), half log-uniform down to 2^-126.
+    const float mantissa = static_cast<float>(rng.Next() >> 40) * 0x1.0p-24f;
+    probabilities.push_back(i % 2 == 0
+                                ? mantissa
+                                : std::ldexp(0.5f + mantissa / 2.0f,
+                                             -static_cast<int>(rng.NextBounded(126))));
+  }
+
+  int64_t checked = 0;
+  int64_t mismatches = 0;
+  auto check = [&](uint64_t key, float p) {
+    ++checked;
+    if (CounterSite::Reports(key, CounterSite::ReportBound(p)) != reference(key, p)) {
+      ++mismatches;
+    }
+  };
+  for (const float p : probabilities) {
+    const uint64_t bound = CounterSite::ReportBound(p);
+    for (int r = 0; r < 4; ++r) check(rng.Next(), p);
+    // Keys whose draw h >> 11 sits just below and at the bound.
+    for (const uint64_t draw : {bound - 1, bound}) {
+      if (bound == 0 || draw >= (uint64_t{1} << 53)) continue;
+      const uint64_t hash = (draw << 11) | (rng.Next() & 0x7ffu);
+      const uint64_t key = KeyHashingTo(hash);
+      uint64_t state = key;
+      ASSERT_EQ(SplitMix64(state), hash);
+      check(key, p);
+    }
+  }
+  EXPECT_GE(checked, 500000);
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(CounterSite::ReportBound(1.0f), uint64_t{1} << 53);
+  EXPECT_EQ(CounterSite::ReportBound(0.5f), uint64_t{1} << 52);
+  EXPECT_EQ(CounterSite::ReportBound(std::nanf("")), 0u);
 }
 
 // --- Seeded asynchrony sweep ----------------------------------------------
