@@ -50,9 +50,12 @@ Frame BuildArbitraryValidFrame(ByteStream* stream) {
       return MakeFrame(advance);
     }
     case 2: {
+      // Encoder contract: num_events whole rows of `stride` values.
       EventBatch batch;
-      batch.num_events = stream->NextI32() & INT32_MAX;  // Encoder contract: >= 0.
-      const size_t values = stream->NextU32() % (kMaxValues + 1);
+      const size_t stride = 1 + stream->NextByte() % 64;
+      batch.num_events =
+          static_cast<int32_t>(stream->NextU32() % (kMaxValues / stride + 1));
+      const size_t values = static_cast<size_t>(batch.num_events) * stride;
       batch.values.reserve(values);
       for (size_t i = 0; i < values; ++i) {
         batch.values.push_back(stream->NextI32());

@@ -86,16 +86,13 @@ inline bool FramesEquivalent(const Frame& a, const Frame& b) {
     case FrameType::kChannelClose:
       return a.channel == b.channel;
     case FrameType::kHello:
-      return a.site == b.site && a.protocol_version == b.protocol_version &&
-             a.caps == b.caps;
+      return a.site == b.site && a.protocol_version == b.protocol_version;
     case FrameType::kHeartbeat:
       return a.site == b.site && a.hb == b.hb;
     case FrameType::kStatsReport:
       return a.stats == b.stats;
     case FrameType::kTraceChunk:
       return a.trace == b.trace;
-    case FrameType::kCompressed:
-      break;  // Never a decoded type: the codec unwraps envelopes.
   }
   return false;
 }

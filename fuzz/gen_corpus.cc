@@ -20,7 +20,6 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "net/codec.h"
-#include "net/compress.h"
 #include "net/protocol_spec.h"
 #include "net/wire.h"
 
@@ -41,27 +40,6 @@ std::vector<uint8_t> Encode(const Frame& frame) {
   std::vector<uint8_t> bytes;
   AppendFrame(frame, &bytes);
   return bytes;
-}
-
-/// Appends `frame` inside a kCompressed envelope whether or not it is
-/// eligible — the bytes a peer that compresses event batches would send.
-void AppendWrapped(const Frame& frame, std::vector<uint8_t>* out) {
-  const std::vector<uint8_t> raw = Encode(frame);
-  std::vector<uint8_t> payload = {static_cast<uint8_t>(FrameType::kCompressed)};
-  AppendVarint(raw.size() - 4, &payload);
-  LzCompress(raw.data() + 4, raw.size() - 4, &payload);
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(payload.size() >> (8 * i)));
-  }
-  out->insert(out->end(), payload.begin(), payload.end());
-}
-
-/// A large event batch LZ would shrink, for the envelope seeds.
-EventBatch RepetitiveBatch() {
-  EventBatch big;
-  big.num_events = 512;
-  big.values.assign(2048, 1);
-  return big;
 }
 
 /// One representative valid frame per wire type, with non-trivial fields.
@@ -238,19 +216,16 @@ void GenProtocolStream(const fs::path& dir) {
     WriteSeed(dir, "viol-forged-trace.bin",
               stream(0, {MakeHello(0), MakeTraceChunk(forged_trace)}));
   }
-  // An event batch in a compression envelope: the coordinator has no
-  // eligible cargo, so a wrapped frame from it is a violation.
-  {
-    std::vector<uint8_t> bytes = stream(1, {MakeHello(0), MakeFrame(batch)});
-    AppendWrapped(MakeFrame(RepetitiveBatch()), &bytes);
-    WriteSeed(dir, "viol-compressed-c2s.bin", bytes);
-  }
   // Version-mismatched hello.
   {
     Frame old_hello = MakeHello(0);
     old_hello.protocol_version = kProtocolVersion - 1;
     WriteSeed(dir, "viol-version-mismatch.bin",
               stream(0, {old_hello, MakeHeartbeat(0)}));
+    // A v6 hello, byte for byte: version 6, site 0, and the trailing
+    // capability varint v7 dropped.
+    WriteSeed(dir, "viol-v6-hello.bin",
+              {0, 4, 0, 0, 0, static_cast<uint8_t>(FrameType::kHello), 6, 0, 1});
   }
   // Malformed wire bytes after a legal prefix.
   {
@@ -263,96 +238,6 @@ void GenProtocolStream(const fs::path& dir) {
     std::vector<uint8_t> bytes = stream(0, {MakeHello(0)});
     bytes.insert(bytes.end(), {0xff, 0xff, 0xff, 0xff});
     WriteSeed(dir, "malformed-oversized-prefix.bin", bytes);
-  }
-}
-
-/// Raw payload textures for the compressor harnesses: an encoded
-/// final-count bundle (the one frame kind the wire compresses: dense ids,
-/// counts in one varint band), a pure run, interleaved repeats, and
-/// incompressible noise.
-std::vector<std::vector<uint8_t>> CompressiblePayloads() {
-  std::vector<std::vector<uint8_t>> payloads;
-  UpdateBundle finals;
-  finals.kind = UpdateBundle::Kind::kFinalCounts;
-  finals.site = 1;
-  for (int64_t c = 0; c < 256; ++c) {
-    finals.reports.push_back(
-        CounterReport{c, 40000 + static_cast<uint32_t>(c % 3)});
-  }
-  payloads.push_back(Encode(MakeFrame(std::move(finals))));
-  payloads.push_back(std::vector<uint8_t>(512, 0x61));
-  {
-    std::vector<uint8_t> interleaved;
-    for (int i = 0; i < 300; ++i) {
-      const char* word = (i % 2) ? "alarm" : "sync!";
-      interleaved.insert(interleaved.end(), word, word + 5);
-    }
-    payloads.push_back(std::move(interleaved));
-  }
-  {
-    Rng rng(90210);
-    std::vector<uint8_t> noise;
-    for (int i = 0; i < 256; ++i) {
-      noise.push_back(static_cast<uint8_t>(rng.Next()));
-    }
-    payloads.push_back(std::move(noise));
-  }
-  payloads.push_back({});
-  payloads.push_back({'x', 'y', 'z'});
-  return payloads;
-}
-
-void GenCompressRoundtrip(const fs::path& dir) {
-  // The round-trip harness takes raw bytes directly.
-  const auto payloads = CompressiblePayloads();
-  for (size_t i = 0; i < payloads.size(); ++i) {
-    WriteSeed(dir, "payload-" + std::to_string(i) + ".bin", payloads[i]);
-  }
-}
-
-void GenCompressDecode(const fs::path& dir) {
-  // The decode harness reads a 2-byte little-endian declared size, then the
-  // LZ block. Valid seeds (honest size + honest block) give coverage deep
-  // inside the decoder; the fuzzer mutates them into the adversarial cases.
-  const auto pack = [](const std::vector<uint8_t>& payload) {
-    std::vector<uint8_t> seed = {
-        static_cast<uint8_t>(payload.size() & 0xff),
-        static_cast<uint8_t>((payload.size() >> 8) & 0xff)};
-    LzCompress(payload.data(), payload.size(), &seed);
-    return seed;
-  };
-  const auto payloads = CompressiblePayloads();
-  for (size_t i = 0; i < payloads.size(); ++i) {
-    WriteSeed(dir, "valid-" + std::to_string(i) + ".bin", pack(payloads[i]));
-  }
-  // Dishonest declared size on an otherwise-valid block.
-  {
-    std::vector<uint8_t> lying = pack(payloads[1]);
-    lying[0] = 0x10;
-    lying[1] = 0x00;
-    WriteSeed(dir, "wrong-declared-size.bin", lying);
-  }
-  // Truncation ladder on the richest valid block.
-  {
-    const std::vector<uint8_t> whole = pack(payloads[0]);
-    for (size_t keep : {size_t{3}, size_t{8}, whole.size() / 2,
-                        whole.size() - 1}) {
-      WriteSeed(dir, "trunc-" + std::to_string(keep) + ".bin",
-                std::vector<uint8_t>(whole.begin(),
-                                     whole.begin() +
-                                         static_cast<std::ptrdiff_t>(keep)));
-    }
-  }
-  // Directed adversarial shapes from compress_test.cc: zero offset,
-  // out-of-window offset, and a length-extension 255-run bomb.
-  WriteSeed(dir, "zero-offset.bin",
-            {0x08, 0x00, 0x41, 'a', 'b', 'c', 'd', 0x00, 0x00});
-  WriteSeed(dir, "oow-offset.bin",
-            {0x08, 0x00, 0x41, 'a', 'b', 'c', 'd', 0x05, 0x00});
-  {
-    std::vector<uint8_t> bomb = {0xff, 0xff, 0xf0};
-    bomb.insert(bomb.end(), 64, 0xff);
-    WriteSeed(dir, "extension-bomb.bin", bomb);
   }
 }
 
@@ -386,29 +271,12 @@ void GenReactorStream(const fs::path& dir) {
             stream(1, {MakeFrame(batch), MakeFrame(advance),
                        MakeChannelClose(FrameType::kEventBatch),
                        MakeChannelClose(FrameType::kRoundAdvance)}));
-  // A compressed envelope mid-stream from the coordinator, between raw
-  // frames: it has no eligible cargo, so the reactor must drop the
-  // connection cleanly.
-  {
-    std::vector<uint8_t> bytes = stream(1, {MakeFrame(batch)});
-    AppendWrapped(MakeFrame(RepetitiveBatch()), &bytes);
-    AppendFrame(MakeFrame(advance), &bytes);
-    WriteSeed(dir, "viol-compressed-c2s.bin", bytes);
-    // A wrapped final-count bundle after the site closed its update lane:
-    // data past the terminal close is a model-checked violation, wrapped
-    // or not, and the reactor must turn it into a clean drop.
-    UpdateBundle finals;
-    finals.site = 0;
-    finals.kind = UpdateBundle::Kind::kFinalCounts;
-    for (int64_t c = 0; c < 512; ++c) {
-      finals.reports.push_back(CounterReport{c, 1});
-    }
-    bytes = stream(0, {MakeChannelClose(FrameType::kUpdateBundle)});
-    AppendFrameMaybeCompressed(MakeFrame(std::move(finals)), &bytes);
-    WriteSeed(dir, "viol-compressed-after-close.bin", bytes);
-  }
   // Direction violation: a coordinator-only frame on the s2c half.
   WriteSeed(dir, "viol-wrong-direction.bin", stream(0, {MakeFrame(advance)}));
+  // The coordinator sends no hello: one on a running site connection is a
+  // violation.
+  WriteSeed(dir, "viol-coordinator-hello.bin",
+            stream(1, {MakeFrame(batch), MakeHello(0)}));
   // Malformed bytes after a legal prefix: bad tag, then oversized prefix.
   {
     std::vector<uint8_t> bytes = stream(0, {MakeFrame(bundle)});
@@ -436,8 +304,6 @@ int Run(int argc, char** argv) {
   } kCorpora[] = {{"codec_decode", GenCodecDecode},
                   {"frame_roundtrip", GenFrameRoundtrip},
                   {"protocol_stream", GenProtocolStream},
-                  {"compress_roundtrip", GenCompressRoundtrip},
-                  {"compress_decode", GenCompressDecode},
                   {"reactor_stream", GenReactorStream}};
   for (const auto& corpus : kCorpora) {
     const fs::path dir = root / corpus.name;

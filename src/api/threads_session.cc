@@ -168,7 +168,7 @@ class ThreadsSession final : public ClusterSessionBase {
       Channel<EventBatch>* events =
           loopback ? site_events[static_cast<size_t>(s)] : site_endpoints.events;
       sites_.push_back(std::make_unique<SiteNode>(
-          s, network, seeds.site_seeds[static_cast<size_t>(s)], events,
+          s, layout_, seeds.site_seeds[static_cast<size_t>(s)], events,
           site_endpoints.commands, site_endpoints.updates));
     }
     for (int s = 0; s < k; ++s) {

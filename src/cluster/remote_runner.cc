@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -152,15 +153,14 @@ StatusOr<RemoteSiteResult> RunRemoteSite(const BayesianNetwork& network,
   options.on_read_end = [&read_ended] {
     read_ended.store(true, std::memory_order_release);
   };
-  // Compression switches on when the coordinator's capability reply-hello
-  // arrives (the connection's kHello arm).
   ReactorConnection connection(&reactor, std::move(socket).value(),
                                config.site_id, options);
   reactor.Start();
   connection.Start();
 
-  SiteNode site(config.site_id, network, config.seed, connection.events(),
-                connection.commands(), connection.updates());
+  SiteNode site(config.site_id, std::make_shared<const CounterLayout>(network),
+                config.seed, connection.events(), connection.commands(),
+                connection.updates());
   // The timer samples the node's relaxed stats atomics; safe while Run() is
   // live, and the reactor is stopped before `site` leaves scope.
   heartbeats.Start(&connection, config.heartbeat_interval_ms,

@@ -5,9 +5,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
-#include "bayes/network.h"
+#include "common/metrics.h"
 #include "core/counter_layout.h"
 #include "monitor/counter_protocol.h"
 #include "net/wire.h"
@@ -28,8 +29,13 @@ namespace dsgm {
 /// one event (the in-process shape) therefore still yields one bundle.
 ///
 /// Counter ids use the MleTracker layout (joint counters first, then parent
-/// counters); the structural metadata needed to map an instance to counter
-/// ids is precomputed at construction.
+/// counters), borrowed from the session so k sites share one copy.
+///
+/// An event batch can come from a real network peer, so Run() checks it
+/// before counting: it must hold num_events rows of one value per variable,
+/// each value inside its variable's domain. A batch that does not is
+/// dropped whole, counted on `cluster.site.malformed_batches`, and touches
+/// no counter.
 ///
 /// Concurrency contract: a SiteNode is single-threaded by construction —
 /// every member is touched only by the thread running Run() (cross-thread
@@ -41,8 +47,9 @@ namespace dsgm {
 /// still for AFTER the thread joined.
 class SiteNode {
  public:
-  SiteNode(int site_id, const BayesianNetwork& network, uint64_t seed,
-           Channel<EventBatch>* events, Channel<RoundAdvance>* commands,
+  SiteNode(int site_id, std::shared_ptr<const CounterLayout> layout,
+           uint64_t seed, Channel<EventBatch>* events,
+           Channel<RoundAdvance>* commands,
            Channel<UpdateBundle>* to_coordinator);
 
   /// Thread body: runs until the event queue closes and drains, then keeps
@@ -80,6 +87,8 @@ class SiteNode {
   /// command_buffer_).
   static constexpr size_t kCommandPopBatch = 256;
 
+  /// True when `batch` holds num_events rows of in-domain values.
+  bool WellFormed(const EventBatch& batch) const;
   /// Counts one event and appends its sampled reports to outbox_.
   void ProcessEvent(const int32_t* values);
   /// Ships outbox_ as one kReports bundle (no-op when it is empty).
@@ -92,7 +101,10 @@ class SiteNode {
   Channel<UpdateBundle>* to_coordinator_;
 
   // Structure metadata (the canonical MleTracker counter flattening).
-  CounterLayout layout_;
+  std::shared_ptr<const CounterLayout> layout_;
+  // Each variable's domain size, packed so WellFormed's per-value compare
+  // vectorizes (the VarRecords it comes from are 32 bytes apart).
+  std::vector<uint32_t> cards_;
 
   // The protocol's site half: local counts, report bounds, report coins.
   CounterSite counters_;
@@ -110,6 +122,8 @@ class SiteNode {
   std::atomic<uint64_t> updates_sent_{0};  // kReports bundles, not reports.
   std::atomic<uint64_t> syncs_sent_{0};
   std::atomic<uint64_t> rounds_seen_{0};  // Highest round id answered.
+
+  Counter* const malformed_batches_;
 };
 
 }  // namespace dsgm

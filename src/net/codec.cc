@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "net/compress.h"
-
 namespace dsgm {
 namespace {
 
@@ -170,21 +168,25 @@ struct PackedColumn {
 //   zigzag num_events | varint count
 //   if count > 0: varint stride | stride x (zigzag min | u8 width) | bits
 //
-// A batch is count / stride rows of `stride` values (one row per event when
-// num_events divides count; else stride 1, so every EventBatch encodes).
-// Each value is stored as value - min in its column's width bits, LSB-first
-// and row by row, and the bit stream is padded to a whole byte. A network's
-// variables have few states, so most columns take 1-2 bits per value.
+// A batch is num_events rows of `stride` values (one row per event), so
+// count is num_events x stride, and a batch without events has no values:
+// the decoder rejects any other framing. Each value is stored as
+// value - min in its column's width bits, LSB-first and row by row, and the
+// bit stream is padded to a whole byte. A network's variables have few
+// states, so most columns take 1-2 bits per value.
 void AppendBatchBody(const EventBatch& batch, std::vector<uint8_t>* out) {
   AppendZigzag(batch.num_events, out);
   const size_t count = batch.values.size();
   DSGM_CHECK_LE(count, kMaxFramePayload);  // The decoder's cap.
   AppendVarint(count, out);
-  if (count == 0) return;
-  const size_t num_events = static_cast<size_t>(batch.num_events);
-  const size_t stride =
-      num_events > 0 && count % num_events == 0 ? count / num_events : 1;
-  const size_t rows = count / stride;
+  if (count == 0) {
+    DSGM_CHECK_EQ(batch.num_events, 0) << "event batch rows without values";
+    return;
+  }
+  const size_t rows = static_cast<size_t>(batch.num_events);
+  DSGM_CHECK(rows > 0 && count % rows == 0)
+      << "event batch of " << count << " values is not " << rows << " rows";
+  const size_t stride = count / rows;
   AppendVarint(stride, out);
   const int32_t* values = batch.values.data();
 
@@ -327,7 +329,12 @@ Status DecodeBatchBody(ByteReader* reader, EventBatch* out) {
   uint64_t count = 0;
   DSGM_RETURN_IF_ERROR(reader->ReadVarint(&count));
   out->values.clear();
-  if (count == 0) return Status::Ok();
+  if (count == 0) {
+    if (num_events != 0) {
+      return InvalidArgumentError("codec: EventBatch events without values");
+    }
+    return Status::Ok();
+  }
   // Zero-width columns cost no body bytes, so the byte checks below cannot
   // bound a forged count: cap it before anything is sized by it.
   if (count > kMaxFramePayload) {
@@ -339,6 +346,10 @@ Status DecodeBatchBody(ByteReader* reader, EventBatch* out) {
   if (stride == 0 || stride > count || count % stride != 0 ||
       stride > reader->remaining() / 2) {
     return InvalidArgumentError("codec: EventBatch stride out of range");
+  }
+  // One row per event: a site walks the values num_events rows at a time.
+  if (count / stride != static_cast<uint64_t>(num_events)) {
+    return InvalidArgumentError("codec: EventBatch rows do not match num_events");
   }
   std::vector<PackedColumn> columns(static_cast<size_t>(stride));
   uint64_t row_bits = 0;
@@ -439,14 +450,9 @@ Frame MakeChannelClose(FrameType channel) {
 }
 
 Frame MakeHello(int32_t site) {
-  return MakeHello(site, WireCompressionEnabled() ? kCapCompression : 0);
-}
-
-Frame MakeHello(int32_t site, uint64_t caps) {
   Frame frame;
   frame.type = FrameType::kHello;
   frame.site = site;
-  frame.caps = caps;
   return frame;
 }
 
@@ -501,7 +507,6 @@ void AppendFrame(const Frame& frame, std::vector<uint8_t>* out) {
     case FrameType::kHello:
       out->push_back(frame.protocol_version);
       AppendZigzag(frame.site, out);
-      AppendVarint(frame.caps, out);
       break;
     case FrameType::kHeartbeat:
       AppendZigzag(frame.site, out);
@@ -514,12 +519,6 @@ void AppendFrame(const Frame& frame, std::vector<uint8_t>* out) {
       break;
     case FrameType::kTraceChunk:
       AppendTraceChunkBody(frame.trace, out);
-      break;
-    case FrameType::kCompressed:
-      // kCompressed is a wire envelope, not a Frame value: the decoder
-      // unwraps it (Frame::compressed) and the encoder wraps via
-      // AppendFrameMaybeCompressed. A Frame typed kCompressed is a bug.
-      DSGM_CHECK(false) << "AppendFrame: kCompressed is not a frame value";
       break;
   }
   const size_t payload = out->size() - prefix_at - 4;
@@ -535,11 +534,10 @@ Status DecodeFramePayload(const uint8_t* data, size_t size, Frame* out) {
   uint8_t type = 0;
   DSGM_RETURN_IF_ERROR(reader.ReadU8(&type));
   if (type < static_cast<uint8_t>(FrameType::kUpdateBundle) ||
-      type > static_cast<uint8_t>(FrameType::kCompressed)) {
+      type > static_cast<uint8_t>(FrameType::kTraceChunk)) {
     return InvalidArgumentError("codec: bad frame type tag");
   }
   out->type = static_cast<FrameType>(type);
-  out->compressed = false;
   switch (out->type) {
     case FrameType::kUpdateBundle:
       DSGM_RETURN_IF_ERROR(DecodeBundleBody(&reader, &out->bundle));
@@ -568,13 +566,10 @@ Status DecodeFramePayload(const uint8_t* data, size_t size, Frame* out) {
         return InvalidArgumentError("codec: hello site out of range");
       }
       out->site = static_cast<int32_t>(site);
-      // Tolerate a missing caps varint (caps = none): an older peer's hello
-      // has none, and must still decode so the conformance layer can report
-      // its version mismatch instead of a decode error.
-      out->caps = 0;
-      if (!reader.done()) {
-        DSGM_RETURN_IF_ERROR(reader.ReadVarint(&out->caps));
-      }
+      // Another version's hello may carry more fields (v6 had a capability
+      // varint). Skip them, so the conformance layer reports the version
+      // mismatch instead of a decode error.
+      if (out->protocol_version != kProtocolVersion) reader.SkipRemaining();
       break;
     }
     case FrameType::kHeartbeat: {
@@ -597,99 +592,11 @@ Status DecodeFramePayload(const uint8_t* data, size_t size, Frame* out) {
       DSGM_RETURN_IF_ERROR(DecodeTraceChunkBody(&reader, &out->trace));
       out->site = out->trace.site;
       break;
-    case FrameType::kCompressed: {
-      // Envelope: varint declared raw size | LZ block. Every remote claim
-      // is bounded before use: the declared size is capped like any frame
-      // payload, the block must decompress to EXACTLY that size, and the
-      // inner payload is re-decoded with the same defenses. One level only
-      // — a nested envelope (or an enveloped hello, which must stay
-      // readable pre-negotiation) is rejected by tag before recursing.
-      uint64_t raw_size = 0;
-      DSGM_RETURN_IF_ERROR(reader.ReadVarint(&raw_size));
-      if (raw_size == 0 || raw_size > kMaxFramePayload) {
-        return InvalidArgumentError(
-            "codec: compressed declared size out of range");
-      }
-      std::vector<uint8_t> inner;
-      DSGM_RETURN_IF_ERROR(LzDecompress(reader.cursor(), reader.remaining(),
-                                        static_cast<size_t>(raw_size),
-                                        &inner));
-      reader.SkipRemaining();
-      if (inner[0] == static_cast<uint8_t>(FrameType::kCompressed)) {
-        return InvalidArgumentError("codec: nested compressed envelope");
-      }
-      if (inner[0] == static_cast<uint8_t>(FrameType::kHello)) {
-        return InvalidArgumentError("codec: compressed hello");
-      }
-      DSGM_RETURN_IF_ERROR(
-          DecodeFramePayload(inner.data(), inner.size(), out));
-      out->compressed = true;
-      break;
-    }
   }
   if (!reader.done()) {
     return InvalidArgumentError("codec: trailing bytes after frame payload");
   }
   return Status::Ok();
-}
-
-bool CompressionEligible(const Frame& frame) {
-  return frame.type == FrameType::kUpdateBundle &&
-         frame.bundle.kind == UpdateBundle::Kind::kFinalCounts;
-}
-
-void AppendFrameMaybeCompressed(const Frame& frame, std::vector<uint8_t>* out) {
-  // Payloads below this floor can't amortize the envelope header and are
-  // not worth the instrument noise either.
-  constexpr size_t kCompressMinPayload = 64;
-  if (!CompressionEligible(frame) || !WireCompressionEnabled()) {
-    AppendFrame(frame, out);
-    return;
-  }
-  std::vector<uint8_t> raw;
-  AppendFrame(frame, &raw);
-  const size_t payload_size = raw.size() - 4;
-  if (payload_size < kCompressMinPayload) {
-    out->insert(out->end(), raw.begin(), raw.end());
-    return;
-  }
-  std::vector<uint8_t> packed;
-  packed.reserve(LzCompressBound(payload_size));
-  LzCompress(raw.data() + 4, payload_size, &packed);
-  static Counter* const bytes_in =
-      MetricsRegistry::Global().GetCounter("net.compress.bytes_in");
-  static Counter* const bytes_out =
-      MetricsRegistry::Global().GetCounter("net.compress.bytes_out");
-  static Gauge* const ratio_x1000 =
-      MetricsRegistry::Global().GetGauge("net.compress.ratio_x1000");
-  size_t wire_payload = payload_size;
-  // Envelope payload: type byte + declared-size varint + LZ block. Emit it
-  // only when it actually beats the raw encoding; incompressible batches
-  // ship raw (and still count, so the ratio reflects the wire, not the
-  // codec's best case).
-  std::vector<uint8_t> header;
-  header.push_back(static_cast<uint8_t>(FrameType::kCompressed));
-  AppendVarint(payload_size, &header);
-  if (header.size() + packed.size() < payload_size) {
-    wire_payload = header.size() + packed.size();
-    const size_t prefix_at = out->size();
-    out->resize(prefix_at + 4);
-    out->insert(out->end(), header.begin(), header.end());
-    out->insert(out->end(), packed.begin(), packed.end());
-    for (int i = 0; i < 4; ++i) {
-      (*out)[prefix_at + static_cast<size_t>(i)] =
-          static_cast<uint8_t>(wire_payload >> (8 * i));
-    }
-  } else {
-    out->insert(out->end(), raw.begin(), raw.end());
-  }
-  bytes_in->Add(payload_size);
-  bytes_out->Add(wire_payload);
-  const uint64_t in_total = bytes_in->Value();
-  const uint64_t out_total = bytes_out->Value();
-  if (out_total > 0) {
-    ratio_x1000->Set(static_cast<int64_t>(in_total * 1000 / out_total));
-  }
 }
 
 Status DecodeFrame(const uint8_t* data, size_t size, Frame* out, size_t* consumed) {

@@ -9,10 +9,11 @@
 // counter ids inside a bundle are delta-coded (sync bundles enumerate dense
 // counter ranges, so deltas collapse to one byte each). Event batches are
 // column bit-packed instead: per-column min and bit width, then each value
-// as value - min in that many bits (codec.cc has the layout). Four frame types
-// carry the net/wire.h messages (kStatsReport is the observability one);
-// two more (kChannelClose, kHello) are transport control frames that never
-// reach application code.
+// as value - min in that many bits (codec.cc has the layout). Of the eight
+// frame types, three carry the counter protocol's messages (update bundles,
+// round advances, event batches), two are observability frames
+// (kStatsReport, kTraceChunk), and three are transport control frames
+// (kChannelClose, kHello, kHeartbeat) that never reach application code.
 //
 // Decoding is defensive: truncated frames, oversized length prefixes, bad
 // enum tags, and trailing bytes all return a Status error and never touch
@@ -41,22 +42,16 @@ enum class FrameType : uint8_t {
   kStatsReport = 7,   // observability: per-site stats piggybacked on heartbeats
   kTraceChunk = 8,    // observability: incremental TraceRing drain (site ->
                       // coordinator), piggybacked on the heartbeat cadence
-  kCompressed = 9,    // envelope: varint declared raw size + LZ block that
-                      // decompresses to another frame's payload. Exists only
-                      // on the wire — DecodeFramePayload unwraps it (setting
-                      // Frame::compressed), so application code never sees
-                      // the type.
+  // 9 was the v6 compression envelope; the decoder rejects it as a bad tag.
 };
 
 /// Wire protocol revision, carried in every kHello frame ahead of the site
 /// id. It is the only version either end speaks: bump it on any
 /// frame-format change. The accepting side rejects a hello for any other
 /// version with a clear Status instead of misparsing later frames.
-/// v6: event batches are column bit-packed and never compressed.
-constexpr uint8_t kProtocolVersion = 6;
-
-/// kHello capability bits (carried in the trailing caps varint).
-constexpr uint64_t kCapCompression = 1;
+/// v7: a hello is the version and the site id only (v6 added a capability
+/// varint), and there is no compression envelope.
+constexpr uint8_t kProtocolVersion = 7;
 
 /// Tagged union of everything a connection can carry. Only the member
 /// selected by `type` is meaningful.
@@ -68,7 +63,8 @@ struct Frame {
   /// kChannelClose: which logical channel the sender closed.
   FrameType channel = FrameType::kUpdateBundle;
   /// kHello: the connecting site's id and the protocol revision it speaks.
-  /// The codec round-trips any version value; rejecting mismatches is the
+  /// The codec round-trips any version value, and ignores whatever follows
+  /// the site id in a hello of another version; rejecting mismatches is the
   /// transport's job (it owns the error message and the Status code).
   /// kHeartbeat reuses `site`: the sender's claimed site id. Receivers treat
   /// heartbeats as per-connection liveness evidence only — the claimed id is
@@ -76,13 +72,6 @@ struct Frame {
   /// the forger's own connection being alive.
   int32_t site = -1;
   uint8_t protocol_version = kProtocolVersion;
-  /// kHello: capability bits (kCapCompression). Always encoded; a hello
-  /// without the caps varint decodes with caps == 0.
-  uint64_t caps = 0;
-  /// Set by the decoder when this frame arrived inside a kCompressed
-  /// envelope. The conformance layer checks the envelope's own rule
-  /// (protocol_spec.h kInCompressed) before the inner frame's.
-  bool compressed = false;
   /// kStatsReport: the sender's cumulative stats. Like heartbeats, the
   /// embedded site id is a claim — receivers must check it against the
   /// connection's authenticated id and drop mismatches before letting it
@@ -100,10 +89,7 @@ Frame MakeFrame(UpdateBundle bundle);
 Frame MakeFrame(RoundAdvance advance);
 Frame MakeFrame(EventBatch batch);
 Frame MakeChannelClose(FrameType channel);
-/// The default hello advertises kCapCompression when the process-wide
-/// wire-compression switch (net/compress.h) is on.
 Frame MakeHello(int32_t site);
-Frame MakeHello(int32_t site, uint64_t caps);
 Frame MakeHeartbeat(int32_t site);
 Frame MakeHeartbeat(int32_t site, const HeartbeatTimestamps& hb);
 Frame MakeStatsReport(const SiteStatsReport& stats);
@@ -122,24 +108,10 @@ constexpr uint32_t DecodeLengthPrefix(const uint8_t* data) {
          (static_cast<uint32_t>(data[3]) << 24);
 }
 
-/// Appends the length prefix plus encoded payload of `frame` to `out`.
+/// Appends the length prefix plus encoded payload of `frame` to `out`. An
+/// event batch must hold num_events whole rows: values.size() is
+/// num_events times the row width, and zero when num_events is (checked).
 void AppendFrame(const Frame& frame, std::vector<uint8_t>* out);
-
-/// True for the frame kinds the compression envelope may carry: final-count
-/// bundles, the one bulk varint payload that still tiles repetitively.
-/// Event batches are already bit-packed; control and liveness frames and
-/// kReports/kSync bundles stay raw.
-bool CompressionEligible(const Frame& frame);
-
-/// Like AppendFrame, but when `frame` is CompressionEligible, the
-/// process-wide switch is on, and the LZ pass actually shrinks the payload
-/// (past a small floor), emits a kCompressed envelope instead of the raw
-/// encoding. Callers gate this on the connection's NEGOTIATED capability —
-/// the codec only decides eligibility and profitability. Updates the
-/// net.compress.{bytes_in,bytes_out,ratio_x1000} instruments on every
-/// eligible frame (raw fallbacks count too, so the ratio reflects the real
-/// wire effect).
-void AppendFrameMaybeCompressed(const Frame& frame, std::vector<uint8_t>* out);
 
 /// Decodes one payload (the bytes after the length prefix). The payload
 /// must be consumed exactly; trailing bytes are an error.

@@ -44,15 +44,11 @@ constexpr AllowRow kAllowedTransitions[] = {
      ProtocolState::kActive},
     {ProtocolState::kActive, kS2C, WireInput::kInTraceChunk,
      ProtocolState::kActive},
-    // The compression envelope is a carrier, not a message: it may wrap
-    // data frames wherever they are legal, so its rows mirror the states
-    // where a compressible frame could arrive. S2C that is kActive only
-    // (final-count bundles precede the update-lane close); data after the
-    // close stays a violation, wrapped or not.
-    {ProtocolState::kActive, kS2C, WireInput::kInCompressed,
-     ProtocolState::kActive},
 
     // --- site receiving from the coordinator -----------------------------
+    // Transports build the site's machine kActive (its own hello is the
+    // handshake); a machine built awaiting a hello, as the stream checker
+    // is, takes one and then none again.
     {ProtocolState::kAwaitingHello, kC2S, WireInput::kInHello,
      ProtocolState::kActive},
     {ProtocolState::kActive, kC2S, WireInput::kInEventBatch,
@@ -79,14 +75,6 @@ constexpr AllowRow kAllowedTransitions[] = {
      ProtocolState::kActive},
     {ProtocolState::kDraining, kC2S, WireInput::kInHeartbeat,
      ProtocolState::kDraining},
-    // Capability reply-hello: the coordinator answers a site hello with a
-    // hello of its own so the site learns the coordinator's caps (the
-    // original handshake is site->coordinator only). It arrives after the
-    // site armed its machine via OnHelloSent, hence in kActive; it is
-    // state-preserving and idempotent.
-    {ProtocolState::kActive, kC2S, WireInput::kInHello,
-     ProtocolState::kActive},
-    // No kInCompressed rows C2S: the coordinator sends no eligible cargo.
 };
 
 // Dense verdict table, built once from the allow rows.
@@ -151,11 +139,6 @@ WireInput WireInputOf(const Frame& frame) {
       return WireInput::kInStatsReport;
     case FrameType::kTraceChunk:
       return WireInput::kInTraceChunk;
-    case FrameType::kCompressed:
-      // The codec unwraps envelopes before a Frame exists (the inner type
-      // lands in Frame::type, with Frame::compressed set); classification
-      // of the ENVELOPE happens via that flag in OnFrame, never here.
-      break;
   }
   DSGM_CHECK(false) << "WireInputOf: frame type "
                     << static_cast<int>(frame.type)
@@ -209,8 +192,6 @@ const char* WireInputName(WireInput input) {
       return "stats_report";
     case WireInput::kInTraceChunk:
       return "trace_chunk";
-    case WireInput::kInCompressed:
-      return "compressed";
   }
   return "unknown";
 }
@@ -231,29 +212,16 @@ ProtocolVerdict ProtocolConformance::CountViolation(ProtocolVerdict verdict) {
 
 ProtocolVerdict ProtocolConformance::OnFrame(const Frame& frame) {
   const WireInput input = WireInputOf(frame);
-  // A frame that arrived inside a compression envelope must pass the
-  // envelope's own rule first, so wrapped data is legal only where the
-  // table allows the envelope.
-  if (frame.compressed) {
-    const FrameRule& wrap =
-        LookupRule(state_, direction_, WireInput::kInCompressed);
-    if (wrap.verdict != ProtocolVerdict::kAccept) {
-      return CountViolation(ProtocolVerdict::kViolation);
-    }
-  }
   const FrameRule& rule = LookupRule(state_, direction_, input);
   if (rule.verdict != ProtocolVerdict::kAccept) {
     return CountViolation(ProtocolVerdict::kViolation);
   }
-  // A hello the table allows must still claim our version. A first hello
-  // that does not is reported as a mismatch, so transports can surface a
-  // deployment error instead of a generic drop; a capability reply-hello
-  // that does not is an ordinary violation.
+  // A hello the table allows (only ever a first one) must still claim our
+  // version. One that does not is reported as a mismatch, so transports
+  // can surface a deployment error instead of a generic drop.
   if (input == WireInput::kInHello &&
       frame.protocol_version != kProtocolVersion) {
-    return CountViolation(state_ == ProtocolState::kAwaitingHello
-                              ? ProtocolVerdict::kVersionMismatch
-                              : ProtocolVerdict::kViolation);
+    return CountViolation(ProtocolVerdict::kVersionMismatch);
   }
   // Payload semantics: observability frames embed a site-id claim that must
   // match the connection's authenticated (hello) id. A mismatch is forged
@@ -266,22 +234,13 @@ ProtocolVerdict ProtocolConformance::OnFrame(const Frame& frame) {
       return CountViolation(ProtocolVerdict::kViolation);
     }
   }
-  if (input == WireInput::kInHello) {
-    if (state_ == ProtocolState::kAwaitingHello) bound_site_ = frame.site;
-    peer_caps_ = frame.caps;
-  }
+  if (input == WireInput::kInHello) bound_site_ = frame.site;
   state_ = rule.next;
   return ProtocolVerdict::kAccept;
 }
 
 ProtocolVerdict ProtocolConformance::OnMalformedFrame() {
   return CountViolation(ProtocolVerdict::kViolation);
-}
-
-void ProtocolConformance::OnHelloSent() {
-  if (state_ == ProtocolState::kAwaitingHello) {
-    state_ = ProtocolState::kActive;
-  }
 }
 
 void ProtocolConformance::MarkClosed() { state_ = ProtocolState::kClosed; }

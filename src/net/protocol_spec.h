@@ -4,7 +4,7 @@
 // implicitly — a stray check in an accept loop here, an "ignore defensively"
 // switch arm there. This header makes the contract explicit and machine
 // checkable: a connection is in one of four states, every decodable frame is
-// one of eleven wire inputs, and a dense (state × direction × input) table
+// one of ten wire inputs, and a dense (state × direction × input) table
 // assigns each combination a verdict. Anything the table does not
 // explicitly allow is a violation — the table is built allow-list-first, so
 // a new frame kind is rejected everywhere until the spec says otherwise.
@@ -19,17 +19,16 @@
 //       commands, or closes for lanes they do not own.
 //
 //   kCoordinatorToSite   what a site accepts FROM the coordinator
-//       hello first; then event batches and round-advance commands, plus
-//       heartbeat echoes (the coordinator reflects each site heartbeat so
-//       the site can close the NTP timestamp loop), and one state-preserving
-//       capability reply-hello. Nothing the coordinator sends is eligible
-//       for compression (event batches are bit-packed instead), so a
-//       compression envelope from it is a violation in every state. The
-//       event lane may close while commands continue (dispatcher finishes
-//       before the protocol loop); closing the command lane is the
-//       coordinator's final word (-> Draining), after which only straggler
-//       events, the event-lane close, and heartbeat echoes are legal.
-//       Coordinators never send updates, stats, or trace chunks.
+//       event batches and round-advance commands, plus heartbeat echoes
+//       (the coordinator reflects each site heartbeat so the site can close
+//       the NTP timestamp loop). The handshake is one hello, site to
+//       coordinator: the coordinator sends none, so a site's machine starts
+//       kActive and a hello from the coordinator is a violation. The event
+//       lane may close while commands continue (dispatcher finishes before
+//       the protocol loop); closing the command lane is the coordinator's
+//       final word (-> Draining), after which only straggler events, the
+//       event-lane close, and heartbeat echoes are legal. Coordinators
+//       never send updates, stats, or trace chunks.
 //
 // A violation is terminal (-> Closed, where everything is a violation), is
 // counted on the process-wide `net.protocol.violations` counter, and makes
@@ -87,20 +86,14 @@ enum class WireInput : uint8_t {
   kInHeartbeat = 7,
   kInStatsReport = 8,
   kInTraceChunk = 9,
-  /// The compression envelope AS AN ENVELOPE: a frame whose bytes arrived
-  /// wrapped (Frame::compressed) is checked against this input first — the
-  /// envelope is legal only where its cargo may arrive — and then against
-  /// its inner input as usual.
-  kInCompressed = 10,
 };
-inline constexpr size_t kNumWireInputs = 11;
+inline constexpr size_t kNumWireInputs = 10;
 inline constexpr WireInput kAllWireInputs[kNumWireInputs] = {
     WireInput::kInUpdateBundle, WireInput::kInRoundAdvance,
     WireInput::kInEventBatch,   WireInput::kInCloseUpdates,
     WireInput::kInCloseCommands, WireInput::kInCloseEvents,
     WireInput::kInHello,        WireInput::kInHeartbeat,
-    WireInput::kInStatsReport,  WireInput::kInTraceChunk,
-    WireInput::kInCompressed};
+    WireInput::kInStatsReport,  WireInput::kInTraceChunk};
 
 enum class ProtocolVerdict : uint8_t {
   kAccept = 0,
@@ -139,9 +132,9 @@ class ProtocolConformance {
  public:
   /// Every hello must claim kProtocolVersion; any other version is a
   /// kVersionMismatch for the first hello and a violation afterwards.
-  /// Connections whose handshake happened out-of-band (the reactor
-  /// transport's accept loop reads the hello before the connection exists)
-  /// pass `initial` = kActive.
+  /// Connections whose handshake happened out-of-band pass `initial` =
+  /// kActive: the coordinator's accept loop reads the hello before the
+  /// connection exists, and a site's own hello is the whole handshake.
   explicit ProtocolConformance(
       ProtocolDirection direction,
       ProtocolState initial = ProtocolState::kAwaitingHello);
@@ -155,10 +148,6 @@ class ProtocolConformance {
   /// breaks the contract just as much as an out-of-state one: counted and
   /// terminal.
   ProtocolVerdict OnMalformedFrame();
-
-  /// Connecting side: its own hello is the handshake, so sending it arms
-  /// the receive machine (the peer talks only after reading the hello).
-  void OnHelloSent();
 
   /// Binds the connection's authenticated site id so payload-embedded site
   /// claims can be checked at the spec layer: a kStatsReport or kTraceChunk
@@ -174,8 +163,6 @@ class ProtocolConformance {
 
   ProtocolState state() const { return state_; }
   ProtocolDirection direction() const { return direction_; }
-  /// Capability bits from the last accepted hello (0 before one).
-  uint64_t peer_caps() const { return peer_caps_; }
   int32_t bound_site() const { return bound_site_; }
   /// Violations charged to THIS connection (the metric is process-wide).
   uint64_t violations() const { return violations_; }
@@ -184,7 +171,6 @@ class ProtocolConformance {
   ProtocolVerdict CountViolation(ProtocolVerdict verdict);
 
   const ProtocolDirection direction_;
-  uint64_t peer_caps_ = 0;
   ProtocolState state_;
   int32_t bound_site_ = -1;
   uint64_t violations_ = 0;

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "net/cluster_transport.h"
-#include "net/compress.h"
 
 namespace dsgm {
 namespace {
@@ -40,7 +39,7 @@ Status SendHelloBlocking(TcpSocket* socket, int32_t site) {
   return socket->SendAll(bytes.data(), bytes.size());
 }
 
-StatusOr<HelloInfo> ReadHelloInfoBlocking(TcpSocket* socket) {
+StatusOr<int32_t> ReadHelloBlocking(TcpSocket* socket) {
   // The handshake runs the same conformance machine as the steady state:
   // a fresh kAwaitingHello validator accepts exactly one current-version
   // hello and counts everything else on `net.protocol.violations`.
@@ -62,12 +61,8 @@ StatusOr<HelloInfo> ReadHelloInfoBlocking(TcpSocket* socket) {
     return decoded;
   }
   switch (conformance.OnFrame(frame)) {
-    case ProtocolVerdict::kAccept: {
-      HelloInfo info;
-      info.site = frame.site;
-      info.caps = frame.caps;
-      return info;
-    }
+    case ProtocolVerdict::kAccept:
+      return frame.site;
     case ProtocolVerdict::kVersionMismatch:
       // Version mismatch is a deployment error surfaced loudly (a genuine
       // dsgm peer speaking another revision); anything else is a droppable
@@ -81,12 +76,6 @@ StatusOr<HelloInfo> ReadHelloInfoBlocking(TcpSocket* socket) {
       break;
   }
   return InvalidArgumentError("reactor: expected hello frame");
-}
-
-StatusOr<int32_t> ReadHelloBlocking(TcpSocket* socket) {
-  StatusOr<HelloInfo> info = ReadHelloInfoBlocking(socket);
-  if (!info.ok()) return info.status();
-  return info->site;
 }
 
 // --- ReactorConnection ---------------------------------------------------
@@ -110,7 +99,6 @@ ReactorConnection::ReactorConnection(Reactor* reactor, TcpSocket socket,
       events_(this, FrameType::kEventBatch, &event_inbox_),
       commands_(this, FrameType::kRoundAdvance, &command_inbox_),
       updates_(this, FrameType::kUpdateBundle, update_inbox_),
-      compress_tx_(options.compress_tx),
       read_pauses_(
           MetricsRegistry::Global().GetCounter("net.reactor.read_pauses")),
       read_resumes_(
@@ -208,14 +196,7 @@ bool ReactorConnection::SendFrame(const Frame& frame, bool bypass_backpressure) 
       << "); transport sends from TLS destructors are forbidden";
 #endif
   scratch.clear();
-  if (compress_tx_.load(std::memory_order_relaxed)) {
-    // Both ends advertised kCapCompression: the codec decides per frame
-    // whether the envelope actually pays (eligibility, size floor,
-    // profitability) and falls back to the raw encoding otherwise.
-    AppendFrameMaybeCompressed(frame, &scratch);
-  } else {
-    AppendFrame(frame, &scratch);
-  }
+  AppendFrame(frame, &scratch);
   bool need_flush = false;
   {
     MutexLock lock(&outbox_mu_);
@@ -449,19 +430,7 @@ bool ReactorConnection::TryDeliver(Frame* frame) {
       }
       return true;
     case FrameType::kHello:
-      // The coordinator's capability reply-hello (the only hello the
-      // table accepts post-handshake, and only on the coordinator-to-site
-      // half): the conformance machine recorded the peer's capability bits;
-      // begin compressing eligible sends if both ends opted in.
-      if ((conformance_.peer_caps() & kCapCompression) != 0 &&
-          WireCompressionEnabled()) {
-        compress_tx_.store(true, std::memory_order_relaxed);
-      }
-      return true;
-    case FrameType::kCompressed:
-      // Unreachable: the codec unwraps envelopes before a Frame exists
-      // (Frame::type holds the inner type, Frame::compressed the flag).
-      return true;
+      return true;  // Unreachable: no hello passes conformance here.
     case FrameType::kHeartbeat: {
       if (options_.receive_direction == ProtocolDirection::kCoordinatorToSite) {
         // The site side of the echo loop: hand the coordinator's echo (plus
@@ -639,12 +608,12 @@ Status ReactorCoordinator::AcceptSites(TcpListener* listener) {
     StatusOr<TcpSocket> socket = listener->Accept();
     if (!socket.ok()) return socket.status();
     socket->SetRecvTimeout(kHelloTimeoutMs);
-    StatusOr<HelloInfo> hello = ReadHelloInfoBlocking(&socket.value());
+    StatusOr<int32_t> hello = ReadHelloBlocking(&socket.value());
     if (!hello.ok() &&
         hello.status().code() == StatusCode::kFailedPrecondition) {
       return hello.status();
     }
-    if (!hello.ok() || hello->site < 0 || hello->site >= num_sites_) {
+    if (!hello.ok() || *hello < 0 || *hello >= num_sites_) {
       if (--rejects_left < 0) {
         return InvalidArgumentError(
             "too many defective connections while waiting for sites");
@@ -653,16 +622,12 @@ Status ReactorCoordinator::AcceptSites(TcpListener* listener) {
     }
     {
       MutexLock lock(&connections_mu_);
-      if (connections_[static_cast<size_t>(hello->site)] != nullptr) {
+      if (connections_[static_cast<size_t>(*hello)] != nullptr) {
         return InvalidArgumentError("two connections announced site id " +
-                                    std::to_string(hello->site));
+                                    std::to_string(*hello));
       }
     }
     socket->SetRecvTimeout(0);
-    // Handshake half two: reply with our own hello so the site learns the
-    // coordinator's capability bits. Best-effort: a send failure surfaces
-    // through the connection's read side.
-    (void)SendHelloBlocking(&socket.value(), hello->site);
     ReactorConnection::Options connection_options;
     connection_options.shared_updates = &merged_updates_;
     connection_options.liveness_timeout_ms = options_.liveness_timeout_ms;
@@ -671,9 +636,7 @@ Status ReactorCoordinator::AcceptSites(TcpListener* listener) {
     connection_options.echo_heartbeats = true;
     connection_options.receive_direction =
         ProtocolDirection::kSiteToCoordinator;
-    connection_options.compress_tx =
-        (hello->caps & kCapCompression) != 0 && WireCompressionEnabled();
-    const int site_id = hello->site;
+    const int site_id = *hello;
     if (options_.on_site_failure) {
       connection_options.on_failure = [this, site_id](const Status& status) {
         options_.on_site_failure(site_id, status);
@@ -756,7 +719,6 @@ class ReactorTransport : public ClusterTransport {
 
     std::vector<TcpSocket> site_sockets(static_cast<size_t>(num_sites));
     std::vector<TcpSocket> coordinator_sockets(static_cast<size_t>(num_sites));
-    bool compress = false;
     for (int s = 0; s < num_sites; ++s) {
       StatusOr<TcpSocket> socket =
           TcpSocket::Connect("127.0.0.1", listener->port());
@@ -767,16 +729,11 @@ class ReactorTransport : public ClusterTransport {
     for (int s = 0; s < num_sites; ++s) {
       StatusOr<TcpSocket> socket = listener->Accept();
       DSGM_CHECK(socket.ok()) << socket.status();
-      StatusOr<HelloInfo> hello = ReadHelloInfoBlocking(&socket.value());
+      StatusOr<int32_t> hello = ReadHelloBlocking(&socket.value());
       DSGM_CHECK(hello.ok()) << hello.status();
-      const int32_t site = hello->site;
+      const int32_t site = *hello;
       DSGM_CHECK(site >= 0 && site < num_sites);
       DSGM_CHECK(coordinator_sockets[static_cast<size_t>(site)].valid() == false);
-      // Handshake half two: the capability reply-hello. The bytes sit in
-      // the socket buffer until the site connection starts reading.
-      DSGM_CHECK(SendHelloBlocking(&socket.value(), site).ok());
-      compress =
-          (hello->caps & kCapCompression) != 0 && WireCompressionEnabled();
       coordinator_sockets[static_cast<size_t>(site)] = std::move(socket).value();
     }
 
@@ -799,11 +756,8 @@ class ReactorTransport : public ClusterTransport {
     coordinator_options.shared_updates = &merged_updates_;
     coordinator_options.receive_direction =
         ProtocolDirection::kSiteToCoordinator;
-    coordinator_options.compress_tx = compress;
     ReactorConnection::Options site_options;
     site_options.receive_direction = ProtocolDirection::kCoordinatorToSite;
-    // The site side flips its own compress_tx_ when it reads the
-    // coordinator's reply-hello (TryDeliver's kHello arm).
     for (int s = 0; s < num_sites; ++s) {
       coordinator_connections_.push_back(std::make_unique<ReactorConnection>(
           &coordinator_reactor_,

@@ -304,11 +304,6 @@ class ReactorConnection {
     /// dropped report.
     ProtocolDirection receive_direction =
         ProtocolDirection::kSiteToCoordinator;
-    /// Start compressing eligible outbound frames immediately (coordinator
-    /// side, which learned the peer's capability bits from its hello). The
-    /// site side starts false and flips when the coordinator's capability
-    /// reply-hello arrives.
-    bool compress_tx = false;
   };
 
   /// Takes a connected, hello-paired socket; makes it nonblocking. `site`
@@ -388,7 +383,8 @@ class ReactorConnection {
   bool read_done_ DSGM_GUARDED_BY(reactor_->loop_role) = false;
   /// The protocol state machine for this connection's receive half. Starts
   /// kActive: the socket arrives hello-paired (the blocking handshake
-  /// consumed the hello before the connection existed). Fed by ParseFrames
+  /// consumed the site's hello before the connection existed, and the
+  /// coordinator sends none). Fed by ParseFrames
   /// on every freshly decoded frame — NOT on pending_frame_ redelivery,
   /// which would double-count transitions.
   ProtocolConformance conformance_ DSGM_GUARDED_BY(reactor_->loop_role);
@@ -425,11 +421,6 @@ class ReactorConnection {
 
   std::atomic<uint64_t> bytes_sent_{0};
   std::atomic<uint64_t> bytes_received_{0};
-  /// Compress eligible outbound frames (both ends advertised
-  /// kCapCompression).
-  /// Written at construction or by the loop thread on the capability
-  /// reply-hello; read by any sending thread.
-  std::atomic<bool> compress_tx_;
   bool shutdown_ = false;  // Owner thread only.
 
   // Shared process-wide instruments (resolved once per connection).
@@ -504,19 +495,14 @@ class ReactorCoordinator {
   bool shutdown_ = false;  // Owner thread only.
 };
 
-// Blocking hello exchange over a not-yet-reactor-owned socket (shared by
-// the in-process transport, ReactorCoordinator::AcceptSites and the site
-// role; the hello is an ordinary length-prefixed frame).
+// Blocking hello over a not-yet-reactor-owned socket (shared by the
+// in-process transport, ReactorCoordinator::AcceptSites and the site role;
+// the hello is an ordinary length-prefixed frame). The handshake is this
+// one frame, site to coordinator: the coordinator sends no reply.
 Status SendHelloBlocking(TcpSocket* socket, int32_t site);
 
-/// What a blocking hello read learned about the peer: its announced site
-/// and its capability bits. A hello for any other protocol version fails
-/// the read with FailedPrecondition.
-struct HelloInfo {
-  int32_t site = -1;
-  uint64_t caps = 0;
-};
-StatusOr<HelloInfo> ReadHelloInfoBlocking(TcpSocket* socket);
+/// Reads the peer's hello and returns the site id it announced. A hello for
+/// any other protocol version fails the read with FailedPrecondition.
 StatusOr<int32_t> ReadHelloBlocking(TcpSocket* socket);
 
 template <typename T>

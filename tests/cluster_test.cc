@@ -264,8 +264,8 @@ TEST(SiteNodeTest, IgnoresForgedRoundAdvances) {
   QueueChannel<EventBatch> event_channel(&events);
   QueueChannel<RoundAdvance> command_channel(&commands);
   QueueChannel<UpdateBundle> update_channel(&updates);
-  SiteNode site(0, net, /*seed=*/1, &event_channel, &command_channel,
-                &update_channel);
+  SiteNode site(0, std::make_shared<const CounterLayout>(net), /*seed=*/1,
+                &event_channel, &command_channel, &update_channel);
 
   ASSERT_TRUE(commands.Push(RoundAdvance{1000000009, 1, 0.5f}));
   ASSERT_TRUE(commands.Push(RoundAdvance{-5, 1, 0.5f}));
@@ -293,8 +293,8 @@ std::vector<UpdateBundle> RunSiteOver(const BayesianNetwork& net,
   QueueChannel<EventBatch> event_channel(&events);
   QueueChannel<RoundAdvance> command_channel(&commands);
   QueueChannel<UpdateBundle> update_channel(&updates);
-  SiteNode site(0, net, /*seed=*/1, &event_channel, &command_channel,
-                &update_channel);
+  SiteNode site(0, std::make_shared<const CounterLayout>(net), /*seed=*/1,
+                &event_channel, &command_channel, &update_channel);
   for (const EventBatch& batch : batches) EXPECT_TRUE(events.Push(batch));
   for (const RoundAdvance& advance : advances) {
     EXPECT_TRUE(commands.Push(advance));
@@ -406,6 +406,58 @@ TEST(SiteNodeTest, BatchReportsPrecedeTheSyncReply) {
   EXPECT_TRUE(synced);
   EXPECT_EQ(reports_seen, 4u);
   EXPECT_EQ(local_counts[static_cast<size_t>(counter)], 200u);
+}
+
+/// Runs `bad` between two well-formed batches and checks that the site
+/// dropped it whole: counted on cluster.site.malformed_batches, no report,
+/// no local count.
+void ExpectBatchDropped(const BayesianNetwork& net, const EventBatch& bad) {
+  Counter* const malformed =
+      MetricsRegistry::Global().GetCounter("cluster.site.malformed_batches");
+  const uint64_t before = malformed->Value();
+  std::vector<uint32_t> local_counts;
+  const std::vector<UpdateBundle> bundles = ReportBundles(RunSiteOver(
+      net, {StudentBatch(net, 1, 11), bad, StudentBatch(net, 1, 12)}, {},
+      &local_counts));
+  EXPECT_EQ(malformed->Value() - before, 1u);
+  // Student has n = 5 variables: one bundle of 2n reports per good event.
+  ASSERT_EQ(bundles.size(), 2u);
+  for (const UpdateBundle& bundle : bundles) {
+    EXPECT_EQ(bundle.reports.size(), 10u);
+  }
+  uint64_t counted = 0;
+  for (const uint32_t count : local_counts) counted += count;
+  EXPECT_EQ(counted, 20u);
+}
+
+TEST(SiteNodeTest, DropsABatchWithAnOutOfDomainValue) {
+  // Node 2 is Grade, with 3 states. A value far past the domain would index
+  // far past the site's counters; a negative one would index before them.
+  const BayesianNetwork net = StudentNetwork();
+  EventBatch huge = StudentBatch(net, 3, /*seed=*/8);
+  huge.values[1 * 5 + 2] = 1 << 28;
+  ExpectBatchDropped(net, huge);
+  EventBatch just_past = StudentBatch(net, 3, /*seed=*/9);
+  just_past.values[2 * 5 + 2] = 3;
+  ExpectBatchDropped(net, just_past);
+  EventBatch negative = StudentBatch(net, 3, /*seed=*/10);
+  negative.values[0] = -1;
+  ExpectBatchDropped(net, negative);
+}
+
+TEST(SiteNodeTest, DropsABatchWhoseValuesDoNotFillItsEvents) {
+  // Four events claimed, three and a half rows of values sent: walking four
+  // rows would read past the values. Rows of the wrong width go too.
+  const BayesianNetwork net = StudentNetwork();
+  EventBatch short_batch = StudentBatch(net, 4, /*seed=*/13);
+  short_batch.values.resize(3 * 5 + 2);
+  ExpectBatchDropped(net, short_batch);
+  EventBatch no_values = StudentBatch(net, 4, /*seed=*/14);
+  no_values.values.clear();
+  ExpectBatchDropped(net, no_values);
+  EventBatch wide_rows = StudentBatch(net, 4, /*seed=*/15);
+  wide_rows.num_events = 2;  // 20 values: rows of 10 values, not 5.
+  ExpectBatchDropped(net, wide_rows);
 }
 
 /// One threaded-cluster run through the Session API (the former RunCluster

@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -114,6 +115,18 @@ TEST(CodecTest, HelloRoundTripsForeignProtocolVersions) {
     EXPECT_EQ(decoded.protocol_version, version);
     EXPECT_EQ(decoded.site, 3);
   }
+  // A v6 hello, byte for byte: version 6, zigzag site 2, then the
+  // capability varint v7 dropped (kCapCompression, or none). The codec
+  // skips what follows another version's site id, so the transport can
+  // still report the version mismatch.
+  for (const uint8_t caps : {uint8_t{1}, uint8_t{0}}) {
+    const std::vector<uint8_t> v6_hello = {
+        4, 0, 0, 0, static_cast<uint8_t>(FrameType::kHello), 6, 4, caps};
+    const Frame decoded = DecodeOrDie(v6_hello);
+    ASSERT_EQ(decoded.type, FrameType::kHello);
+    EXPECT_EQ(decoded.protocol_version, 6);
+    EXPECT_EQ(decoded.site, 2);
+  }
 }
 
 TEST(CodecTest, HeartbeatRoundTrip) {
@@ -175,7 +188,8 @@ TEST(CodecTest, RandomizedEventBatchRoundTripProperty) {
   for (int iteration = 0; iteration < 200; ++iteration) {
     EventBatch batch;
     batch.num_events = static_cast<int32_t>(rng.NextBounded(100));
-    const size_t values = rng.NextBounded(512);
+    const size_t values =
+        static_cast<size_t>(batch.num_events) * (1 + rng.NextBounded(8));
     for (size_t v = 0; v < values; ++v) {
       batch.values.push_back(static_cast<int32_t>(rng.NextBounded(128)));
     }
@@ -208,16 +222,15 @@ TEST(CodecTest, PackedEventBatchGoldenBytes) {
 }
 
 TEST(CodecTest, PackedEventBatchShapesRoundTripProperty) {
-  // Seeded shapes the packer must stay total over: no events, value counts
-  // num_events does not divide (stride 1), negative values, constant
-  // (width 0) columns, and INT32_MIN with INT32_MAX in one column (width 32).
+  // Seeded shapes the packer must stay total over: no events, negative
+  // values, constant (width 0) columns, and INT32_MIN with INT32_MAX in one
+  // column (width 32).
   Rng rng(20261017);
   for (int iteration = 0; iteration < 400; ++iteration) {
     EventBatch batch;
     const size_t stride = 1 + rng.NextBounded(40);
     const size_t rows = rng.NextBounded(64);
-    batch.num_events =
-        rng.NextBounded(4) == 0 ? 0 : static_cast<int32_t>(rows);
+    batch.num_events = static_cast<int32_t>(rows);
     std::vector<int> shape(stride);
     for (int& kind : shape) kind = static_cast<int>(rng.NextBounded(4));
     for (size_t r = 0; r < rows; ++r) {
@@ -244,10 +257,6 @@ TEST(CodecTest, PackedEventBatchShapesRoundTripProperty) {
         batch.values.push_back(value);
       }
     }
-    // A ragged tail: the count is no longer a multiple of num_events.
-    if (rng.NextBounded(3) == 0) {
-      batch.values.push_back(static_cast<int32_t>(rng.Next()));
-    }
     const Frame decoded = DecodeOrDie(Encode(MakeFrame(batch)));
     ASSERT_TRUE(decoded.batch == batch) << "iteration " << iteration;
   }
@@ -271,12 +280,16 @@ TEST(CodecTest, PackedEventBatchIsCompactForSmallStates) {
 
 /// A hand-built kEventBatch payload: header fields, column headers, and
 /// the raw packed bytes, each a remote claim the decoder must check.
+/// num_events defaults to the row count, count / stride.
 std::vector<uint8_t> PackedBatchPayload(
     uint64_t count, uint64_t stride,
     const std::vector<std::pair<int64_t, uint8_t>>& columns,
-    const std::vector<uint8_t>& bits) {
+    const std::vector<uint8_t>& bits, int64_t num_events = -1) {
+  if (num_events < 0) {
+    num_events = stride == 0 ? 1 : static_cast<int64_t>(count / stride);
+  }
   std::vector<uint8_t> payload = {static_cast<uint8_t>(FrameType::kEventBatch)};
-  AppendVarint(ZigzagEncode(1), &payload);  // num_events
+  AppendVarint(ZigzagEncode(num_events), &payload);
   AppendVarint(count, &payload);
   AppendVarint(stride, &payload);
   for (const auto& [min, width] : columns) {
@@ -308,6 +321,22 @@ TEST(CodecTest, PackedEventBatchBadStrideRejected) {
   EXPECT_FALSE(
       DecodesOk(PackedBatchPayload(uint64_t{1} << 20, uint64_t{1} << 20,
                                    {{0, 0}}, {})));
+}
+
+TEST(CodecTest, PackedEventBatchRowsMustMatchNumEvents) {
+  // A site walks a batch num_events rows at a time, so the framing must
+  // say exactly that many rows: four values of stride 2 are two events.
+  const std::vector<std::pair<int64_t, uint8_t>> columns = {{1, 0}, {2, 0}};
+  EXPECT_TRUE(DecodesOk(PackedBatchPayload(4, 2, columns, {}, 2)));
+  EXPECT_FALSE(DecodesOk(PackedBatchPayload(4, 2, columns, {}, 1)));
+  EXPECT_FALSE(DecodesOk(PackedBatchPayload(4, 2, columns, {}, 3)));
+  // Events without values: the site would read rows that are not there.
+  std::vector<uint8_t> empty = {static_cast<uint8_t>(FrameType::kEventBatch)};
+  AppendVarint(ZigzagEncode(5), &empty);  // num_events
+  AppendVarint(0, &empty);                // count
+  EXPECT_FALSE(DecodesOk(empty));
+  empty = {static_cast<uint8_t>(FrameType::kEventBatch), 0, 0};
+  EXPECT_TRUE(DecodesOk(empty));
 }
 
 TEST(CodecTest, PackedEventBatchBodySizeMustBeExact) {
@@ -385,13 +414,22 @@ TEST(CodecTest, OversizedLengthPrefixRejectedBeforeAllocation) {
 }
 
 TEST(CodecTest, BadFrameTypeTagFails) {
-  // 0 and tags above kCompressed are invalid; a bare 9 is an envelope
-  // with no body.
-  for (uint8_t tag : {uint8_t{0}, uint8_t{9}, uint8_t{99}, uint8_t{255}}) {
+  // 0 and tags above kTraceChunk are invalid.
+  for (uint8_t tag : {uint8_t{0}, uint8_t{9}, uint8_t{10}, uint8_t{99},
+                      uint8_t{255}}) {
     const std::vector<uint8_t> payload = {tag};
     Frame frame;
     EXPECT_FALSE(DecodeFramePayload(payload.data(), payload.size(), &frame).ok());
   }
+  // Tag 9 was v6's compression envelope (varint raw size | LZ block); a
+  // whole one is a bad tag too, not a frame: four literal bytes "abcd".
+  const std::vector<uint8_t> envelope = {9, 4, 0x40, 'a', 'b', 'c', 'd'};
+  Frame frame;
+  const Status status =
+      DecodeFramePayload(envelope.data(), envelope.size(), &frame);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("bad frame type tag"), std::string::npos)
+      << status;
 }
 
 TEST(CodecTest, BadBundleKindTagFails) {
@@ -592,6 +630,157 @@ TEST(CodecTest, BitflipFuzzOnValidFramesNeverCrashes) {
     size_t consumed = 0;
     DecodeFrame(corrupted.data(), corrupted.size(), &frame, &consumed).ok();
   }
+}
+
+// --- v6's compression envelope, retired in v7. -------------------------
+//
+// v6 could wrap a site's kFinalCounts bundle as tag 9 | varint raw size |
+// LZ block (each LZ token's high nibble counts the literal bytes after it).
+// v7 has no envelope: every frame ships as its own type, and whatever a
+// tag-9 frame claims, it fails as a bad frame-type tag before any of its
+// claims is read.
+
+/// A site's end-of-run final counts over a dense counter range: the one
+/// frame kind v6 could envelope.
+Frame BigFinalCountsFrame() {
+  UpdateBundle bundle;
+  bundle.kind = UpdateBundle::Kind::kFinalCounts;
+  bundle.site = 1;
+  for (int64_t c = 0; c < 2000; ++c) {
+    bundle.reports.push_back(CounterReport{c, 50000});
+  }
+  return MakeFrame(bundle);
+}
+
+/// A v6 envelope frame, length prefix included: tag 9, the declared raw
+/// size, then `block`.
+std::vector<uint8_t> EnvelopeWire(uint64_t declared_size,
+                                  const std::vector<uint8_t>& block) {
+  std::vector<uint8_t> payload = {9};
+  AppendVarint(declared_size, &payload);
+  payload.insert(payload.end(), block.begin(), block.end());
+  std::vector<uint8_t> wire;
+  for (int i = 0; i < 4; ++i) {
+    wire.push_back(static_cast<uint8_t>(payload.size() >> (8 * i)));
+  }
+  wire.insert(wire.end(), payload.begin(), payload.end());
+  return wire;
+}
+
+/// A v6 LZ block of fewer than 15 literal bytes and no match.
+std::vector<uint8_t> LiteralBlock(const std::vector<uint8_t>& raw) {
+  std::vector<uint8_t> block;
+  block.push_back(static_cast<uint8_t>(raw.size() << 4));
+  for (const uint8_t byte : raw) block.push_back(byte);
+  return block;
+}
+
+void ExpectBadFrameTypeTag(const std::vector<uint8_t>& wire) {
+  Frame frame;
+  size_t consumed = 0;
+  const Status status = DecodeFrame(wire.data(), wire.size(), &frame, &consumed);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("bad frame type tag"), std::string::npos)
+      << status;
+}
+
+TEST(CompressEnvelopeTest, IneligibleFrameTypesAlwaysShipRaw) {
+  // A kReports bundle and an event batch LZ would shrink (one value
+  // repeated) ship under their own type tags and round-trip.
+  UpdateBundle bundle;
+  bundle.kind = UpdateBundle::Kind::kReports;
+  bundle.site = 1;
+  for (int64_t c = 0; c < 2000; ++c) {
+    bundle.reports.push_back(CounterReport{c, 9});
+  }
+  const std::vector<uint8_t> bundle_wire = Encode(MakeFrame(bundle));
+  EXPECT_EQ(bundle_wire[4], static_cast<uint8_t>(FrameType::kUpdateBundle));
+  EXPECT_TRUE(DecodeOrDie(bundle_wire).bundle == bundle);
+
+  EventBatch batch;
+  batch.num_events = 1024;
+  batch.values.assign(4096, 2);
+  const std::vector<uint8_t> batch_wire = Encode(MakeFrame(batch));
+  EXPECT_EQ(batch_wire[4], static_cast<uint8_t>(FrameType::kEventBatch));
+  EXPECT_TRUE(DecodeOrDie(batch_wire).batch == batch);
+}
+
+TEST(CompressEnvelopeTest, TinyEligibleFrameStaysRaw) {
+  // Final-count bundles, tiny or large, ship as plain kUpdateBundle frames.
+  UpdateBundle tiny;
+  tiny.kind = UpdateBundle::Kind::kFinalCounts;
+  tiny.reports = {{0, 1}, {1, 2}, {2, 3}};
+  for (const Frame& frame : {MakeFrame(tiny), BigFinalCountsFrame()}) {
+    const std::vector<uint8_t> wire = Encode(frame);
+    EXPECT_EQ(wire[4], static_cast<uint8_t>(FrameType::kUpdateBundle));
+    const Frame decoded = DecodeOrDie(wire);
+    ASSERT_EQ(decoded.type, FrameType::kUpdateBundle);
+    EXPECT_TRUE(decoded.bundle == frame.bundle);
+  }
+}
+
+TEST(CompressEnvelopeTest, DeclaredSizeZeroRejected) {
+  ExpectBadFrameTypeTag(EnvelopeWire(0, {}));
+}
+
+TEST(CompressEnvelopeTest, DeclaredSizeBeyondMaxPayloadRejected) {
+  ExpectBadFrameTypeTag(
+      EnvelopeWire(static_cast<uint64_t>(kMaxFramePayload) + 1, {0x00}));
+}
+
+TEST(CompressEnvelopeTest, NestedEnvelopeRejected) {
+  // An envelope whose block unpacks to another envelope.
+  const std::vector<uint8_t> inner = {9, 0x01, 0x00};
+  ExpectBadFrameTypeTag(EnvelopeWire(inner.size(), LiteralBlock(inner)));
+}
+
+TEST(CompressEnvelopeTest, CompressedHelloRejected) {
+  // An enveloped hello, current and v6-shaped (with the caps varint).
+  const std::vector<uint8_t> hello_wire = Encode(MakeHello(3));
+  std::vector<uint8_t> hello(hello_wire.begin() + 4, hello_wire.end());
+  ExpectBadFrameTypeTag(EnvelopeWire(hello.size(), LiteralBlock(hello)));
+  const std::vector<uint8_t> v6_hello = {
+      static_cast<uint8_t>(FrameType::kHello), 6, 6, 1};
+  ExpectBadFrameTypeTag(EnvelopeWire(v6_hello.size(), LiteralBlock(v6_hello)));
+}
+
+TEST(CompressEnvelopeTest, TruncatedLzBlockRejected) {
+  // The token promises eight literals; three follow.
+  ExpectBadFrameTypeTag(EnvelopeWire(8, {0x80, 'a', 'b', 'c'}));
+}
+
+TEST(CompressEnvelopeTest, GarbageLzBlockNeverCrashes) {
+  Rng rng(40490);
+  for (int iteration = 0; iteration < 500; ++iteration) {
+    std::vector<uint8_t> garbage(rng.NextBounded(256));
+    for (uint8_t& byte : garbage) byte = static_cast<uint8_t>(rng.Next());
+    ExpectBadFrameTypeTag(EnvelopeWire(1 + rng.NextBounded(1 << 12), garbage));
+  }
+}
+
+// --- Hellos of other versions. ------------------------------------------
+
+TEST(CompressCapsTest, V4HelloOmitsTheCapsVarintByteExactly) {
+  // A v4 hello has no caps varint, and neither has v7's: the two differ in
+  // the version byte alone. The decoder reads the v4 shape byte-exactly, so
+  // the conformance layer can report the peer's version mismatch instead of
+  // a decode error.
+  const std::vector<uint8_t> current_wire = Encode(MakeHello(3));
+  // u32-LE length prefix, then type, version and the zigzag site id.
+  const std::vector<uint8_t> v4_wire = {
+      3, 0, 0, 0, static_cast<uint8_t>(FrameType::kHello), 4,
+      static_cast<uint8_t>(ZigzagEncode(3))};
+  ASSERT_EQ(v4_wire.size(), current_wire.size());
+  for (size_t i = 0; i < v4_wire.size(); ++i) {
+    if (i != 5) {
+      EXPECT_EQ(v4_wire[i], current_wire[i]) << "byte " << i;
+    }
+  }
+
+  const Frame decoded = DecodeOrDie(v4_wire);
+  EXPECT_EQ(decoded.type, FrameType::kHello);
+  EXPECT_EQ(decoded.protocol_version, 4);
+  EXPECT_EQ(decoded.site, 3);
 }
 
 }  // namespace

@@ -216,8 +216,9 @@ TEST(CounterGoldenTest, SiteNodeReportStream) {
   QueueChannel<EventBatch> event_channel(&event_queue);
   QueueChannel<RoundAdvance> command_channel(&command_queue);
   QueueChannel<UpdateBundle> update_channel(&update_queue);
-  SiteNode site(/*site_id=*/2, net, /*seed=*/77, &event_channel,
-                &command_channel, &update_channel);
+  SiteNode site(/*site_id=*/2, std::make_shared<const CounterLayout>(net),
+                /*seed=*/77, &event_channel, &command_channel,
+                &update_channel);
   for (const EventBatch& batch : batches) ASSERT_TRUE(event_queue.Push(batch));
   for (const RoundAdvance& advance : advances) {
     ASSERT_TRUE(command_queue.Push(advance));

@@ -1,11 +1,11 @@
 // Model-checks the protocol conformance table of net/protocol_spec.h by
 // exhaustive enumeration: the state space is tiny (4 states x 2 directions
-// x 11 inputs = 88 cells), so instead of sampling behaviors we iterate all
+// x 10 inputs = 80 cells), so instead of sampling behaviors we iterate all
 // of them and prove the contract's load-bearing properties — totality,
 // hello-before-anything, nothing-after-close, directional ownership, and
 // reachability of every state. Below that, unit tests drive the
-// ProtocolConformance validator (including the payload site binding, the
-// version check and the capability reply-hello) and the
+// ProtocolConformance validator (including the payload site binding and
+// the version check) and the
 // ProtocolStreamChecker through legal and adversarial sequences.
 
 #include "net/protocol_spec.h"
@@ -46,7 +46,7 @@ TEST(ProtocolSpecTable, EveryTripleHasADefinedVerdict) {
       }
     }
   }
-  EXPECT_EQ(cells, 4 * 2 * 11);
+  EXPECT_EQ(cells, 4 * 2 * 10);
 }
 
 TEST(ProtocolSpecTable, HelloBeforeAnything) {
@@ -77,10 +77,9 @@ TEST(ProtocolSpecTable, NothingAfterClose) {
     }
   }
   // After the site's terminal update-lane close only heartbeats may
-  // follow: stats reports and trace chunks are data, and so is anything
-  // wrapped in a compression envelope.
-  for (WireInput input : {WireInput::kInStatsReport, WireInput::kInTraceChunk,
-                          WireInput::kInCompressed}) {
+  // follow: stats reports and trace chunks are data.
+  for (WireInput input :
+       {WireInput::kInStatsReport, WireInput::kInTraceChunk}) {
     EXPECT_EQ(LookupRule(ProtocolState::kDraining, kS2C, input).verdict,
               ProtocolVerdict::kViolation)
         << WireInputName(input) << " after the update-lane close";
@@ -99,49 +98,44 @@ TEST(ProtocolSpecTable, NothingAfterClose) {
 }
 
 TEST(ProtocolSpecTable, CoordinatorNeverSendsACompressionEnvelope) {
-  // Only final-count bundles may be compressed, and only sites send them:
-  // a wrapped frame from the coordinator is a violation in every state,
-  // even when its cargo (an event batch) would be legal raw.
-  constexpr ProtocolDirection kC2S = ProtocolDirection::kCoordinatorToSite;
-  for (ProtocolState state : kAllProtocolStates) {
-    EXPECT_EQ(LookupRule(state, kC2S, WireInput::kInCompressed).verdict,
-              ProtocolVerdict::kViolation)
-        << "compression envelope accepted from the coordinator in "
-        << ProtocolStateName(state);
+  // v7 retired v6's compression envelope (tag 9 | varint raw size | LZ
+  // block), so the table has no input for it. A coordinator stream that
+  // wraps an event batch in one is malformed on a site's connection,
+  // before and after the command-lane close, even though the cargo is
+  // legal raw; the connection then accepts nothing more.
+  std::vector<uint8_t> raw;
+  AppendFrame(MakeFrame(EventBatch{}), &raw);
+  const std::vector<uint8_t> cargo(raw.begin() + 4, raw.end());
+  std::vector<uint8_t> wrapped = {
+      static_cast<uint8_t>(cargo.size() + 3), 0, 0, 0, 9,
+      static_cast<uint8_t>(cargo.size()),
+      static_cast<uint8_t>(cargo.size() << 4)};
+  wrapped.insert(wrapped.end(), cargo.begin(), cargo.end());
+  for (ProtocolState state : {ProtocolState::kActive, ProtocolState::kDraining}) {
+    SCOPED_TRACE(ProtocolStateName(state));
+    ProtocolStreamChecker checker(ProtocolDirection::kCoordinatorToSite, state);
+    ASSERT_TRUE(checker.Append(raw.data(), raw.size()).ok());
+    EXPECT_FALSE(checker.Append(wrapped.data(), wrapped.size()).ok());
+    EXPECT_EQ(checker.conformance().state(), ProtocolState::kClosed);
+    EXPECT_EQ(checker.conformance().violations(), 1u);
+    EXPECT_FALSE(checker.Append(raw.data(), raw.size()).ok());
+    EXPECT_EQ(checker.frames_accepted(), 1u);
   }
-  ProtocolConformance conformance(ProtocolDirection::kCoordinatorToSite);
-  conformance.OnHelloSent();
-  ASSERT_EQ(conformance.OnFrame(MakeHello(0, kCapCompression)),
-            ProtocolVerdict::kAccept);
-  ASSERT_EQ(conformance.OnFrame(MakeFrame(EventBatch{})),
-            ProtocolVerdict::kAccept);
-  Frame wrapped = MakeFrame(EventBatch{});
-  wrapped.compressed = true;
-  EXPECT_EQ(conformance.OnFrame(wrapped), ProtocolVerdict::kViolation);
-  EXPECT_EQ(conformance.state(), ProtocolState::kClosed);
-  EXPECT_EQ(conformance.violations(), 1u);
 }
 
 TEST(ProtocolSpecTable, ExactlyOneHelloEver) {
-  // A hello is legal in kAwaitingHello (checked above) and nowhere else —
-  // with ONE carve-out: the capability reply-hello the coordinator sends a
-  // site (kCoordinatorToSite, kActive), which must be state-preserving.
-  // Every other late hello stays a violation.
+  // A hello is legal in kAwaitingHello (checked above) and nowhere else, in
+  // either direction. Transports build a site's machine kActive (its own
+  // hello is the whole handshake), so a hello from the coordinator is a
+  // violation at every point of a real connection.
   for (ProtocolState state :
        {ProtocolState::kActive, ProtocolState::kDraining,
         ProtocolState::kClosed}) {
     for (ProtocolDirection direction : kAllProtocolDirections) {
-      const FrameRule& rule = LookupRule(state, direction, WireInput::kInHello);
-      if (state == ProtocolState::kActive &&
-          direction == ProtocolDirection::kCoordinatorToSite) {
-        EXPECT_EQ(rule.verdict, ProtocolVerdict::kAccept);
-        EXPECT_EQ(rule.next, ProtocolState::kActive)
-            << "the capability reply-hello must not change state";
-      } else {
-        EXPECT_EQ(rule.verdict, ProtocolVerdict::kViolation)
-            << "duplicate hello accepted in " << ProtocolStateName(state)
-            << " (" << ProtocolDirectionName(direction) << ")";
-      }
+      EXPECT_EQ(LookupRule(state, direction, WireInput::kInHello).verdict,
+                ProtocolVerdict::kViolation)
+          << "duplicate hello accepted in " << ProtocolStateName(state)
+          << " (" << ProtocolDirectionName(direction) << ")";
     }
   }
 }
@@ -175,8 +169,8 @@ TEST(ProtocolSpecTable, DirectionalOwnership) {
 TEST(ProtocolSpecTable, OutOfRangeVersionsRejectEverything) {
   // The table has no version axis; the hello's version claim is checked on
   // top of it. A hello claiming a version outside the one this build speaks
-  // (the previous one and the next included) is never accepted — as a first
-  // hello or as the coordinator's reply — and the connection it arrives on
+  // (the previous one and the next included) is never accepted — on a fresh
+  // connection or on a running one — and the connection it arrives on
   // accepts nothing afterwards.
   for (uint8_t version :
        {uint8_t{0}, static_cast<uint8_t>(kProtocolVersion - 1),
@@ -324,10 +318,10 @@ TEST(ProtocolConformanceTest, VersionMismatchIsDistinctButCounted) {
             1u);
 }
 
-TEST(ProtocolConformanceTest, OnHelloSentArmsTheConnectingSide) {
-  ProtocolConformance conformance(ProtocolDirection::kCoordinatorToSite);
-  conformance.OnHelloSent();
-  EXPECT_EQ(conformance.state(), ProtocolState::kActive);
+TEST(ProtocolConformanceTest, SiteConnectionStartsActiveAndDrains) {
+  // The site's machine starts kActive: its own hello was the handshake.
+  ProtocolConformance conformance(ProtocolDirection::kCoordinatorToSite,
+                                  ProtocolState::kActive);
   EXPECT_EQ(conformance.OnFrame(MakeFrame(EventBatch{})),
             ProtocolVerdict::kAccept);
   EXPECT_EQ(conformance.OnFrame(MakeFrame(RoundAdvance{})),
@@ -423,7 +417,7 @@ TEST(ProtocolConformanceTest, MarkClosedIsNotAViolation) {
   EXPECT_EQ(conformance.violations(), 1u);
 }
 
-// --- Versions, capabilities, compression ----------------------------------
+// --- Versions ------------------------------------------------------------
 
 TEST(ProtocolConformanceTest, AnyOtherHelloVersionIsAVersionMismatch) {
   // One wire version: a first hello claiming any other — older or newer —
@@ -451,66 +445,65 @@ TEST(ProtocolConformanceTest, TooOldHelloIsStillAVersionMismatch) {
   EXPECT_EQ(conformance.state(), ProtocolState::kClosed);
 }
 
-TEST(ProtocolConformanceTest, ForgedCompressedFlagFromV4PeerIsTerminal) {
-  // A v4 peer's hello that arrives inside a kCompressed envelope: the
-  // wrapper rule is checked FIRST (no envelope before the hello), so the
-  // frame is an ordinary violation, not a version mismatch the transport
-  // would report as a deployment error.
-  MetricsRegistry::Global().ResetForTest();
-  ProtocolConformance conformance(ProtocolDirection::kSiteToCoordinator);
-  Frame hello = MakeHello(1);
-  hello.protocol_version = 4;
-  hello.compressed = true;
-  EXPECT_EQ(conformance.OnFrame(hello), ProtocolVerdict::kViolation);
-  EXPECT_EQ(conformance.state(), ProtocolState::kClosed);
-  EXPECT_EQ(conformance.violations(), 1u);
-  // Terminal: the peer's next (wrapped) frame is rejected too.
-  Frame wrapped = MakeFrame(UpdateBundle{});
-  wrapped.compressed = true;
-  EXPECT_EQ(conformance.OnFrame(wrapped), ProtocolVerdict::kViolation);
-  EXPECT_EQ(conformance.violations(), 2u);
-}
-
-TEST(ProtocolConformanceTest, CompressedFramesFlowOnAV5Connection) {
-  ProtocolConformance conformance(ProtocolDirection::kSiteToCoordinator);
-  ASSERT_EQ(conformance.OnFrame(MakeHello(1, kCapCompression)),
+TEST(ProtocolConformanceTest, CoordinatorHelloIsAViolationOnASiteConnection) {
+  // The coordinator sends no hello. One arriving on a site's connection is
+  // an ordinary violation, whatever version it claims (it is not a
+  // deployment error to report), before and after the command-lane close.
+  for (uint8_t version : {kProtocolVersion, uint8_t{6}}) {
+    for (bool draining : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "hello v" << int(version)
+                                        << (draining ? " draining" : ""));
+      ProtocolConformance conformance(ProtocolDirection::kCoordinatorToSite,
+                                      ProtocolState::kActive);
+      if (draining) {
+        ASSERT_EQ(
+            conformance.OnFrame(MakeChannelClose(FrameType::kRoundAdvance)),
             ProtocolVerdict::kAccept);
-  EXPECT_EQ(conformance.peer_caps(), kCapCompression);
-  Frame wrapped = MakeFrame(UpdateBundle{});
-  wrapped.compressed = true;
-  EXPECT_EQ(conformance.OnFrame(wrapped), ProtocolVerdict::kAccept);
-  // But not past the update-lane close: the envelope follows its cargo.
-  ASSERT_EQ(conformance.OnFrame(MakeChannelClose(FrameType::kUpdateBundle)),
-            ProtocolVerdict::kAccept);
-  Frame late = MakeFrame(UpdateBundle{});
-  late.compressed = true;
-  EXPECT_EQ(conformance.OnFrame(late), ProtocolVerdict::kViolation);
-}
-
-TEST(ProtocolConformanceTest, ReplyHelloIsStatePreservingAndCarriesCaps) {
-  // The site side: its own hello armed the machine (OnHelloSent); the
-  // coordinator's capability reply-hello then lands in kActive, must not
-  // disturb the state, and delivers the coordinator's capability bits.
-  ProtocolConformance conformance(ProtocolDirection::kCoordinatorToSite);
-  conformance.OnHelloSent();
-  ASSERT_EQ(conformance.state(), ProtocolState::kActive);
-  EXPECT_EQ(conformance.OnFrame(MakeHello(1, kCapCompression)),
-            ProtocolVerdict::kAccept);
-  EXPECT_EQ(conformance.state(), ProtocolState::kActive);
-  EXPECT_EQ(conformance.peer_caps(), kCapCompression);
-  EXPECT_EQ(conformance.OnFrame(MakeFrame(EventBatch{})),
-            ProtocolVerdict::kAccept);
+      }
+      Frame hello = MakeHello(0);
+      hello.protocol_version = version;
+      EXPECT_EQ(conformance.OnFrame(hello), ProtocolVerdict::kViolation);
+      EXPECT_EQ(conformance.state(), ProtocolState::kClosed);
+      EXPECT_EQ(conformance.violations(), 1u);
+    }
+  }
 }
 
 TEST(ProtocolConformanceTest, ReplyHelloClaimingAncientVersionIsTerminal) {
-  // The reply-hello row is in the table, but the frame's own version claim
-  // still has to be ours.
-  ProtocolConformance conformance(ProtocolDirection::kCoordinatorToSite);
-  conformance.OnHelloSent();
+  // v6's coordinator answered a site's hello with a reply-hello; v7's sends
+  // none. One claiming an ancient version is an ordinary violation, not a
+  // version mismatch, and the site's connection accepts nothing after it.
+  ProtocolConformance conformance(ProtocolDirection::kCoordinatorToSite,
+                                  ProtocolState::kActive);
   Frame hello = MakeHello(0);
   hello.protocol_version = 2;
   EXPECT_EQ(conformance.OnFrame(hello), ProtocolVerdict::kViolation);
   EXPECT_EQ(conformance.state(), ProtocolState::kClosed);
+  EXPECT_EQ(conformance.OnFrame(MakeFrame(EventBatch{})),
+            ProtocolVerdict::kViolation);
+  EXPECT_EQ(conformance.violations(), 2u);
+}
+
+TEST(ProtocolConformanceTest, ForgedCompressedFlagFromV4PeerIsTerminal) {
+  // A v4 peer's hello inside v6's compression envelope (tag 9, retired in
+  // v7) is a malformed first frame: an ordinary violation, not a version
+  // mismatch the transport would report as a deployment error. Terminal:
+  // the peer's next, well-formed hello is rejected too.
+  ProtocolStreamChecker checker(ProtocolDirection::kSiteToCoordinator);
+  const std::vector<uint8_t> v4_hello = {
+      static_cast<uint8_t>(FrameType::kHello), 4,
+      static_cast<uint8_t>(ZigzagEncode(1))};
+  std::vector<uint8_t> wrapped = {6, 0, 0, 0, 9, 3, 0x30};
+  wrapped.insert(wrapped.end(), v4_hello.begin(), v4_hello.end());
+  const Status status = checker.Append(wrapped.data(), wrapped.size());
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.code(), StatusCode::kFailedPrecondition) << status;
+  EXPECT_EQ(checker.conformance().state(), ProtocolState::kClosed);
+  EXPECT_EQ(checker.conformance().violations(), 1u);
+  std::vector<uint8_t> hello;
+  AppendFrame(MakeHello(1), &hello);
+  EXPECT_FALSE(checker.Append(hello.data(), hello.size()).ok());
+  EXPECT_EQ(checker.frames_accepted(), 0u);
 }
 
 // --- ProtocolStreamChecker ------------------------------------------------

@@ -62,9 +62,8 @@ TEST(SiteRoleTest, CoordinatorEchoIsReflectedInTheNextHeartbeat) {
   StatusOr<TcpSocket> socket = listener->Accept();
   ASSERT_TRUE(socket.ok()) << socket.status();
   socket->SetRecvTimeout(10000);
-  StatusOr<HelloInfo> hello = ReadHelloInfoBlocking(&socket.value());
+  StatusOr<int32_t> hello = ReadHelloBlocking(&socket.value());
   ASSERT_TRUE(hello.ok()) << hello.status();
-  ASSERT_TRUE(SendHelloBlocking(&socket.value(), hello->site).ok());
 
   Frame frame;
   const auto is_heartbeat = [](const Frame& f) {

@@ -16,7 +16,6 @@
 #include "common/metrics.h"
 #include "net/cluster_transport.h"
 #include "net/codec.h"
-#include "net/compress.h"
 #include "net/protocol_spec.h"
 #include "net/reactor_transport.h"
 #include "net/reactor.h"
@@ -128,7 +127,8 @@ TEST_P(TransportConformanceTest, CloseDrainsThenReportsEnd) {
   const CoordinatorEndpoints coordinator = transport->coordinator();
   for (int i = 0; i < 3; ++i) {
     EventBatch batch;
-    batch.num_events = i;
+    batch.num_events = 1;
+    batch.values.push_back(i);
     ASSERT_TRUE(coordinator.events[0]->Push(std::move(batch)));
   }
   coordinator.events[0]->Close();
@@ -189,7 +189,8 @@ TEST_P(TransportConformanceTest, ConcurrentBidirectionalTraffic) {
   std::thread downstream([&coordinator] {
     for (int i = 0; i < kFrames; ++i) {
       EventBatch batch;
-      batch.num_events = i;
+      batch.num_events = 1;
+      batch.values.push_back(i);
       ASSERT_TRUE(coordinator.events[0]->Push(std::move(batch)));
     }
   });
@@ -198,7 +199,8 @@ TEST_P(TransportConformanceTest, ConcurrentBidirectionalTraffic) {
     const std::vector<EventBatch> got = PopExactly(site.events, kFrames);
     ASSERT_EQ(got.size(), static_cast<size_t>(kFrames));
     for (int i = 0; i < kFrames; ++i) {
-      EXPECT_EQ(got[static_cast<size_t>(i)].num_events, i);
+      EXPECT_EQ(got[static_cast<size_t>(i)].values,
+                std::vector<int32_t>{i});
       UpdateBundle bundle;
       bundle.kind = UpdateBundle::Kind::kReports;
       bundle.site = 0;
@@ -243,14 +245,35 @@ INSTANTIATE_TEST_SUITE_P(
 //
 // The coordinator's accept loop (ReactorCoordinator::AcceptSites) against
 // raw peers: a version-mismatched hello is a deployment error, a peer that
-// speaks before its hello is a stray to drop, and a current-version site
-// gets the capability reply-hello.
+// speaks before its hello is a stray to drop, and a current-version site is
+// accepted without a hello back.
 
 /// Liveness off: these peers send no heartbeats.
 ReactorCoordinator::Options NoLivenessOptions() {
   ReactorCoordinator::Options options;
   options.liveness_timeout_ms = 0;
   return options;
+}
+
+/// Runs a one-site accept loop against a raw peer that sends `bytes` and
+/// then waits for the coordinator to hang up; returns AcceptSites' status.
+Status AcceptOnePeer(const std::vector<uint8_t>& bytes) {
+  StatusOr<TcpListener> listener = TcpListener::Listen(0, 4);
+  if (!listener.ok()) return listener.status();
+  const int port = listener->port();
+  std::thread peer([port, &bytes] {
+    StatusOr<TcpSocket> socket = TcpSocket::Connect("127.0.0.1", port);
+    if (!socket.ok()) return;
+    (void)socket->SendAll(bytes.data(), bytes.size());
+    uint8_t unused = 0;
+    (void)socket->RecvAll(&unused, 1);
+  });
+  ReactorCoordinator coordinator(1, NoLivenessOptions());
+  const Status accepted = coordinator.AcceptSites(&listener.value());
+  listener->Close();
+  coordinator.Shutdown();
+  peer.join();
+  return accepted;
 }
 
 /// Reads one length-prefixed frame from a blocking socket.
@@ -270,33 +293,27 @@ TEST(ProtocolVersionTest, MismatchedHelloIsRejectedWithClearStatus) {
   for (const uint8_t version : {static_cast<uint8_t>(kProtocolVersion - 1),
                                 static_cast<uint8_t>(kProtocolVersion + 1)}) {
     SCOPED_TRACE(::testing::Message() << "hello v" << int(version));
-    StatusOr<TcpListener> listener = TcpListener::Listen(0, 4);
-    ASSERT_TRUE(listener.ok()) << listener.status();
-    const int port = listener->port();
-
-    std::thread peer([port, version] {
-      StatusOr<TcpSocket> socket = TcpSocket::Connect("127.0.0.1", port);
-      if (!socket.ok()) return;
-      Frame hello = MakeHello(/*site=*/0);
-      hello.protocol_version = version;
-      std::vector<uint8_t> bytes;
-      AppendFrame(hello, &bytes);
-      (void)socket->SendAll(bytes.data(), bytes.size());
-      // Wait for the coordinator to react (it closes without replying).
-      uint8_t unused = 0;
-      (void)socket->RecvAll(&unused, 1);
-    });
-
-    ReactorCoordinator coordinator(1, NoLivenessOptions());
-    const Status accepted = coordinator.AcceptSites(&listener.value());
+    Frame hello = MakeHello(/*site=*/0);
+    hello.protocol_version = version;
+    std::vector<uint8_t> bytes;
+    AppendFrame(hello, &bytes);
+    const Status accepted = AcceptOnePeer(bytes);
     EXPECT_EQ(accepted.code(), StatusCode::kFailedPrecondition) << accepted;
     EXPECT_NE(accepted.message().find("protocol version mismatch"),
               std::string::npos)
         << accepted;
-    listener->Close();
-    coordinator.Shutdown();
-    peer.join();
   }
+}
+
+TEST(ProtocolVersionTest, V6HelloIsAVersionMismatch) {
+  // A v6 site's hello, byte for byte: version 6, zigzag site 0, then the
+  // capability varint v7 dropped (kCapCompression). The extra byte must not
+  // turn the deployment error into a decode error or a dropped stray.
+  const Status accepted = AcceptOnePeer(
+      {4, 0, 0, 0, static_cast<uint8_t>(FrameType::kHello), 6, 0, 1});
+  EXPECT_EQ(accepted.code(), StatusCode::kFailedPrecondition) << accepted;
+  EXPECT_NE(accepted.message().find("peer speaks v6"), std::string::npos)
+      << accepted;
 }
 
 TEST(ProtocolVersionTest, EarlyHeartbeatIsDroppedAsStray) {
@@ -322,15 +339,15 @@ TEST(ProtocolVersionTest, EarlyHeartbeatIsDroppedAsStray) {
     StatusOr<TcpSocket> socket = TcpSocket::Connect("127.0.0.1", port);
     if (!socket.ok() || !SendHelloBlocking(&socket.value(), 0).ok()) return;
     uint8_t unused = 0;
-    (void)socket->RecvAll(&unused, 1);  // The reply-hello.
+    (void)socket->RecvAll(&unused, 1);  // Until the coordinator hangs up.
   });
 
   ReactorCoordinator coordinator(1, NoLivenessOptions());
   const Status accepted = coordinator.AcceptSites(&listener.value());
   EXPECT_TRUE(accepted.ok()) << accepted;
   listener->Close();
-  real_site.join();
   coordinator.Shutdown();
+  real_site.join();
 }
 
 TEST(ProtocolVersionTest, CurrentVersionHelloIsAccepted) {
@@ -338,28 +355,30 @@ TEST(ProtocolVersionTest, CurrentVersionHelloIsAccepted) {
   ASSERT_TRUE(listener.ok()) << listener.status();
   const int port = listener->port();
 
-  // SendHelloBlocking stamps the current kProtocolVersion; the coordinator
-  // answers it with its own capability hello, the site's first frame back.
-  Frame reply;
-  Status reply_read = InternalError("peer never ran");
-  std::thread peer([port, &reply, &reply_read] {
+  // SendHelloBlocking stamps the current kProtocolVersion. The handshake is
+  // that one frame: the coordinator sends no hello back, so the first frame
+  // the site reads is the coordinator's first lane traffic, here the close
+  // of its command lane.
+  Frame first;
+  Status first_read = InternalError("peer never ran");
+  std::thread peer([port, &first, &first_read] {
     StatusOr<TcpSocket> socket = TcpSocket::Connect("127.0.0.1", port);
     if (!socket.ok()) {
-      reply_read = socket.status();
+      first_read = socket.status();
       return;
     }
-    reply_read = SendHelloBlocking(&socket.value(), /*site=*/0);
-    if (reply_read.ok()) reply_read = ReadOneFrame(&socket.value(), &reply);
+    first_read = SendHelloBlocking(&socket.value(), /*site=*/0);
+    if (first_read.ok()) first_read = ReadOneFrame(&socket.value(), &first);
   });
 
   ReactorCoordinator coordinator(1, NoLivenessOptions());
   const Status accepted = coordinator.AcceptSites(&listener.value());
   EXPECT_TRUE(accepted.ok()) << accepted;
+  if (accepted.ok()) coordinator.commands(0)->Close();
   peer.join();
-  ASSERT_TRUE(reply_read.ok()) << reply_read;
-  EXPECT_EQ(reply.type, FrameType::kHello);
-  EXPECT_EQ(reply.protocol_version, kProtocolVersion);
-  EXPECT_EQ(reply.caps & kCapCompression, kCapCompression);
+  ASSERT_TRUE(first_read.ok()) << first_read;
+  EXPECT_EQ(first.type, FrameType::kChannelClose);
+  EXPECT_EQ(first.channel, FrameType::kRoundAdvance);
   listener->Close();
   coordinator.Shutdown();
 }
@@ -466,7 +485,7 @@ bool PeerIsDropped(const std::vector<uint8_t>& peer_bytes) {
     StatusOr<TcpSocket> socket = TcpSocket::Connect("127.0.0.1", port);
     if (!socket.ok()) return;
     (void)socket->SendAll(peer_bytes.data(), peer_bytes.size());
-    // Drain until the coordinator hangs up (the reply-hello comes first).
+    // Drain until the coordinator hangs up.
     uint8_t unused = 0;
     while (socket->RecvAll(&unused, 1).ok()) {
     }
@@ -674,49 +693,6 @@ TEST(ProtocolConformanceReactorAcceptTest, SyncBeforeHelloIsCountedAsStray) {
   listener->Close();
   coordinator.Shutdown();
   real_site.join();
-}
-
-// --- Wire compression ------------------------------------------------------
-
-TEST(WireCompressionTest, V5PeersCompressEligibleBatchesEndToEnd) {
-  // Both ends of the kLocalTcp wiring advertise compression with the
-  // process-wide switch on (the default), so a site's repetitive final-count
-  // bundle must cross the wire inside an envelope — visible through the
-  // net.compress instruments — and decode to the identical bundle at the
-  // coordinator. The site starts compressing once the coordinator's
-  // reply-hello arrives, so it sends until one bundle went out wrapped.
-  MetricsRegistry::Global().ResetForTest();
-  ASSERT_TRUE(WireCompressionEnabled());
-  auto transport = MakeSiteRoleTransport(1);
-  UpdateBundle bundle;
-  bundle.kind = UpdateBundle::Kind::kFinalCounts;
-  bundle.site = 0;
-  for (int64_t c = 0; c < 2000; ++c) {
-    bundle.reports.push_back(CounterReport{c, 50000});
-  }
-  Counter* const bytes_in =
-      MetricsRegistry::Global().GetCounter("net.compress.bytes_in");
-  Counter* const bytes_out =
-      MetricsRegistry::Global().GetCounter("net.compress.bytes_out");
-  Channel<UpdateBundle>* coordinator_updates = transport->coordinator().updates;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (bytes_in->Value() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    UpdateBundle copy = bundle;
-    ASSERT_TRUE(transport->site(0).updates->Push(std::move(copy)));
-    std::vector<UpdateBundle> got;
-    while (got.empty() && std::chrono::steady_clock::now() < deadline) {
-      if (coordinator_updates->TryPopBatch(&got, 1) == 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-    ASSERT_EQ(got.size(), 1u);
-    EXPECT_TRUE(got[0] == bundle);
-  }
-  EXPECT_GT(bytes_in->Value(), 0u);
-  EXPECT_LT(bytes_out->Value(), bytes_in->Value());
-  transport->Shutdown();
 }
 
 }  // namespace
