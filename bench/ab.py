@@ -18,8 +18,11 @@ itself untouched: no worktree to register or prune.
 
 For each seed and workload the script runs one pair, REF and change in
 alternating order (REF first on even pair indices), each through its own
-tree's perfbench/run.py, for BENCHMARK.json's run_seconds. After a
-build-only warm-up per side, the report prints, per workload and metric:
+tree's perfbench/run.py, for BENCHMARK.json's run_seconds. Before each
+pair it runs the pair's first side once for WARMUP_SECONDS and discards
+the result, so a slow first run after a pause or a side switch lands on
+neither side. After a build-only warm-up per side, the report prints, per
+workload and metric:
   - each side's median and quartiles [q1 q3];
   - the median of the per-pair ratios change/REF and the change's wins
     (ties count for neither side);
@@ -28,7 +31,9 @@ build-only warm-up per side, the report prints, per workload and metric:
     REF's by more than the bound, "unresolved" when either side's
     interquartile range exceeds the bound relative to its median (unless
     every change run beats every REF run), else "ok";
-and per workload the failed/attempted share and the `correct` flags.
+and per workload the failed/attempted share, the `correct` flags, and
+for each end-to-end metric the median of the pairs' first runs next to
+that of their second runs (an order effect the warm-up should remove).
 A --claim metric@workload applies the gain rule: the change wins at least
 nine tenths of the pairs and its median beats REF's by more than REF's
 interquartile range. Exits 1 when a claim fails, a bound is exceeded, or a
@@ -50,6 +55,7 @@ import tempfile
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GAIN_WIN_SHARE = 0.9
+WARMUP_SECONDS = 5
 
 
 # --- Arithmetic (covered by --self-test) --------------------------------
@@ -102,6 +108,17 @@ def bound_verdict(ref, change, direction, bound):
     if not all_better and max(relative_iqr(ref), relative_iqr(change)) > bound:
         return "unresolved"
     return "ok"
+
+
+def order_medians(pairs, name):
+    """(median of the pairs' first runs, median of their second runs) of
+    metric `name`; each pair names the side that ran first."""
+    first, second = [], []
+    for pair in pairs:
+        later = "change" if pair["first"] == "ref" else "ref"
+        first.append(pair[pair["first"]]["metrics"][name]["value"])
+        second.append(pair[later]["metrics"][name]["value"])
+    return statistics.median(first), statistics.median(second)
 
 
 def claim_holds(ref, change, direction):
@@ -221,6 +238,10 @@ def report(runs, workloads, claims, directions, bounds):
                 fmt(ratio), "%d/%d" % (wins(ref, change, direction),
                                        len(pairs)),
                 verdict))
+        print("   first-run vs second-run medians: " + ", ".join(
+            "%s %s / %s" % ((name,) + tuple(map(fmt, order_medians(pairs,
+                                                                   name))))
+            for name in names if name in bounds))
         for claim in claims:
             metric, claim_workload = claim.split("@")
             if claim_workload != workload:
@@ -275,6 +296,15 @@ def self_test():
     assert bound_verdict([150e3] * 4, [149e3] * 4, "higher", 0.25) == "ok"
     assert all(close(r, 0.5) for r in pair_ratios([2.0, 4.0], [1.0, 2.0]))
     assert parse_seeds("11-13,20") == [11, 12, 13, 20]
+
+    # Order medians read each pair's first and second run, whichever side.
+    def pair(first, ref, change):
+        return {"first": first,
+                "ref": {"metrics": {"m": {"value": ref}}},
+                "change": {"metrics": {"m": {"value": change}}}}
+    pairs = [pair("ref", 3.0, 2.0), pair("change", 1.0, 4.0),
+             pair("ref", 5.0, 1.5)]
+    assert order_medians(pairs, "m") == (4.0, 1.5)
     print("ab self-test: ok")
 
 
@@ -321,7 +351,9 @@ def main():
     for index, seed in enumerate(parse_seeds(args.seeds)):
         order = ("ref", "change") if index % 2 == 0 else ("change", "ref")
         for workload in workloads:
-            pair = {"workload": workload, "seed": seed}
+            pair = {"workload": workload, "seed": seed, "first": order[0]}
+            tree, target = sides[order[0]]
+            run_once(tree, target, workload, seed, WARMUP_SECONDS, args.trace)
             for side in order:
                 tree, target = sides[side]
                 pair[side] = run_once(tree, target, workload, seed,

@@ -15,8 +15,9 @@
 //      snapshots in O(touched cells) and readers never block the protocol.
 //   3. Observability is near-free: --metrics-overhead prices the
 //      instruments themselves (enabled vs SetMetricsEnabled(false)) and
-//      --trace-overhead prices the trace-shipping path (drain -> kTraceChunk
-//      codec -> ClusterTraceBoard ingest at 25x the production cadence);
+//      --trace-overhead prices the trace-shipping path (drain -> telemetry
+//      frame codec -> ClusterTraceBoard ingest at 25x the production
+//      cadence);
 //      both must stay <= 3% of 8-producer throughput (derated to a 10%
 //      collapse-check under sanitizers or below 16 hardware threads).
 //
@@ -108,7 +109,7 @@ StatusOr<IngestRun> RunOnce(const BayesianNetwork& net,
 
   // Optional site-style trace shipper (--trace-overhead): replays the
   // standalone site's shipping loop in-process — drain every thread's ring
-  // through one cursor, encode the chunk as a kTraceChunk frame, decode it
+  // through one cursor, encode the drain in a telemetry frame, decode it
   // back, fold it into a ClusterTraceBoard — so the gate prices the whole
   // shipping path (drain + codec + board ingest), not just the Trace()
   // writes the --metrics-overhead gate already covers. The 20 ms cadence is
@@ -126,12 +127,11 @@ StatusOr<IngestRun> RunOnce(const BayesianNetwork& net,
       bool final_pass = false;
       while (true) {
         TraceChunk chunk;
-        chunk.site = 0;
         const size_t drained =
             DrainTraceEvents(&cursor, &chunk.events, &chunk.first_seq);
         if (drained > 0) {
           std::vector<uint8_t> bytes;
-          AppendFrame(MakeTraceChunk(std::move(chunk)), &bytes);
+          AppendFrame(MakeHeartbeat({}, {}, std::move(chunk)), &bytes);
           Frame decoded;
           size_t consumed = 0;
           if (DecodeFrame(bytes.data(), bytes.size(), &decoded, &consumed)
@@ -231,7 +231,7 @@ int Main(int argc, char** argv) {
   flags.DefineBool("trace-overhead", false,
                    "price trace shipping: run the 8-producer quiet config "
                    "with and without a site-style shipper thread (drain -> "
-                   "kTraceChunk encode -> decode -> ClusterTraceBoard "
+                   "telemetry-frame encode -> decode -> ClusterTraceBoard "
                    "ingest, at 25x the production heartbeat cadence) and "
                    "exit 1 if shipping costs > 3% throughput (10% under "
                    "sanitizers or below 16 hardware threads)");

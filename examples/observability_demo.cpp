@@ -1,8 +1,8 @@
 // Observability demo: a real socketed cluster (kLocalTcp backend — one
 // reactor I/O thread serving every site over localhost TCP) run with the
 // metrics layer turned all the way up. While the stream flows, the
-// coordinator keeps a live per-site health table fed by kStatsReport
-// frames piggybacked on the sites' heartbeats; this demo
+// coordinator keeps a live per-site health table fed by the stats in the
+// sites' heartbeat telemetry frames; this demo
 //
 //   1. dumps periodic one-line JSON snapshots to a file
 //      (WithMetricsDump — the programmatic twin of --metrics-dump-ms),

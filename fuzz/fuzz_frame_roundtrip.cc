@@ -1,5 +1,5 @@
 // Structure-aware round-trip harness: the input is a decision stream that
-// builds a structurally VALID frame of any of the eight wire types, which
+// builds a structurally VALID frame of any of the six wire types, which
 // is then encoded and decoded back. Unlike fuzz_codec_decode (which mostly
 // explores the decoder's reject paths), every iteration here exercises the
 // encoder and the decoder's accept path with hostile field values —
@@ -28,7 +28,7 @@ constexpr size_t kMaxValues = 8192;
 constexpr size_t kMaxTraceEvents = 4096;
 
 Frame BuildArbitraryValidFrame(ByteStream* stream) {
-  switch (stream->NextByte() % 8) {
+  switch (stream->NextByte() % 6) {
     case 0: {
       UpdateBundle bundle;
       bundle.kind = static_cast<UpdateBundle::Kind>(stream->NextByte() % 4);
@@ -71,28 +71,20 @@ Frame BuildArbitraryValidFrame(ByteStream* stream) {
       hello.protocol_version = stream->NextByte();  // Codec carries any rev.
       return hello;
     }
-    case 5: {
-      // Heartbeats carry three clock samples; arbitrary int64 values
-      // (including the zeros of the "no echo yet" state) must round-trip.
+    default: {
+      // Telemetry carries three clock samples; arbitrary int64 values
+      // (including the zeros of the "no echo yet" state) must round-trip,
+      // as must the stats and the trace drain.
       HeartbeatTimestamps hb;
       hb.send_nanos = stream->NextI64();
       hb.echo_nanos = stream->NextI64();
       hb.echo_recv_nanos = stream->NextI64();
-      return MakeHeartbeat(stream->NextI32(), hb);
-    }
-    case 6: {
       SiteStatsReport stats;
-      stats.site = stream->NextI32();
       stats.events_processed = stream->NextI64() & INT64_MAX;  // Contract: >= 0.
       stats.updates_sent = stream->NextU64();
       stats.syncs_sent = stream->NextU64();
       stats.rounds_seen = stream->NextU64();
-      stats.heartbeats_sent = stream->NextU64();
-      return MakeStatsReport(stats);
-    }
-    default: {
       TraceChunk trace;
-      trace.site = stream->NextI32();
       trace.first_seq = stream->NextU64();
       const size_t events = stream->NextU32() % (kMaxTraceEvents + 1);
       trace.events.reserve(events);
@@ -108,7 +100,7 @@ Frame BuildArbitraryValidFrame(ByteStream* stream) {
         event.arg = stream->NextI64();
         trace.events.push_back(event);
       }
-      return MakeTraceChunk(std::move(trace));
+      return MakeHeartbeat(hb, stats, std::move(trace));
     }
   }
 }

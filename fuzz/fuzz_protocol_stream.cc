@@ -6,7 +6,8 @@
 // machine in kClosed.
 //
 // Input format: byte 0 selects the receive direction; the rest is the wire
-// stream.
+// stream. Each direction's machine starts where a real connection's does:
+// a coordinator's awaiting the site's hello, a site's kActive.
 
 #include <cstddef>
 #include <cstdint>

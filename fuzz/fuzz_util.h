@@ -88,11 +88,7 @@ inline bool FramesEquivalent(const Frame& a, const Frame& b) {
     case FrameType::kHello:
       return a.site == b.site && a.protocol_version == b.protocol_version;
     case FrameType::kHeartbeat:
-      return a.site == b.site && a.hb == b.hb;
-    case FrameType::kStatsReport:
-      return a.stats == b.stats;
-    case FrameType::kTraceChunk:
-      return a.trace == b.trace;
+      return a.hb == b.hb && a.stats == b.stats && a.trace == b.trace;
   }
   return false;
 }

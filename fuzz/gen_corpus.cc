@@ -59,18 +59,15 @@ std::vector<Frame> RepresentativeFrames() {
   batch.num_events = 3;
   batch.values = {0, 1, 2, 1, 0, 2, 2, 1, 0};
   SiteStatsReport stats;
-  stats.site = 1;
   stats.events_processed = 100000;
   stats.updates_sent = 4096;
   stats.syncs_sent = 17;
   stats.rounds_seen = 17;
-  stats.heartbeats_sent = 250;
   HeartbeatTimestamps hb;
   hb.send_nanos = 1'000'000'000;
   hb.echo_nanos = 999'000'000;
   hb.echo_recv_nanos = 999'500'000;
   TraceChunk trace;
-  trace.site = 1;
   trace.first_seq = 4096;
   trace.events.push_back(TraceEvent{1'000'000, TraceEventType::kHeartbeat, 1, 7});
   trace.events.push_back(TraceEvent{900'000, TraceEventType::kSyncMessage, -1, -3});
@@ -80,9 +77,7 @@ std::vector<Frame> RepresentativeFrames() {
           MakeFrame(std::move(batch)),
           MakeChannelClose(FrameType::kUpdateBundle),
           MakeHello(3),
-          MakeHeartbeat(3, hb),
-          MakeStatsReport(stats),
-          MakeTraceChunk(std::move(trace))};
+          MakeHeartbeat(hb, stats, std::move(trace))};
 }
 
 void GenCodecDecode(const fs::path& dir) {
@@ -138,7 +133,7 @@ void GenCodecDecode(const fs::path& dir) {
 void GenFrameRoundtrip(const fs::path& dir) {
   // The round-trip harness reads its input as a decision stream (first byte
   // selects the frame type). One directed seed per type...
-  for (uint8_t type = 0; type < 8; ++type) {
+  for (uint8_t type = 0; type < 6; ++type) {
     std::vector<uint8_t> seed = {type};
     for (int i = 0; i < 48; ++i) {
       seed.push_back(static_cast<uint8_t>((i * 37 + type) & 0xff));
@@ -174,23 +169,21 @@ void GenProtocolStream(const fs::path& dir) {
   batch.values = {0, 1};
   RoundAdvance advance;
 
-  // Legal site->coordinator life cycle. Payload site ids must match the
-  // hello's: the conformance machine binds the connection to its hello id
-  // and rejects forged kStatsReport/kTraceChunk claims.
+  // Legal site->coordinator life cycle: telemetry flows before and after
+  // the update-lane close.
   SiteStatsReport stats;
-  stats.site = 0;
+  stats.events_processed = 64;
   TraceChunk trace;
-  trace.site = 0;
   trace.events.push_back(TraceEvent{500, TraceEventType::kHeartbeat, 0, 1});
   WriteSeed(dir, "legal-s2c.bin",
-            stream(0, {MakeHello(0), MakeFrame(bundle), MakeHeartbeat(0),
-                       MakeStatsReport(stats), MakeTraceChunk(trace),
-                       MakeFrame(bundle),
+            stream(0, {MakeHello(0), MakeFrame(bundle), MakeHeartbeat({}),
+                       MakeHeartbeat({}, stats, trace), MakeFrame(bundle),
                        MakeChannelClose(FrameType::kUpdateBundle),
-                       MakeHeartbeat(0)}));
+                       MakeHeartbeat({}, stats)}));
   // Legal coordinator->site life cycle (straggler events while draining).
+  // The site's machine starts kActive: the coordinator sends no hello.
   WriteSeed(dir, "legal-c2s.bin",
-            stream(1, {MakeHello(0), MakeFrame(batch), MakeFrame(advance),
+            stream(1, {MakeFrame(batch), MakeFrame(advance), MakeHeartbeat({}),
                        MakeChannelClose(FrameType::kEventBatch),
                        MakeChannelClose(FrameType::kRoundAdvance),
                        MakeFrame(batch)}));
@@ -198,30 +191,19 @@ void GenProtocolStream(const fs::path& dir) {
   WriteSeed(dir, "viol-data-before-hello.bin", stream(0, {MakeFrame(bundle)}));
   WriteSeed(dir, "viol-duplicate-hello.bin",
             stream(0, {MakeHello(0), MakeHello(0)}));
-  WriteSeed(dir, "viol-stats-after-close.bin",
+  WriteSeed(dir, "viol-update-after-close.bin",
             stream(0, {MakeHello(0),
                        MakeChannelClose(FrameType::kUpdateBundle),
-                       MakeStatsReport(SiteStatsReport{})}));
+                       MakeFrame(bundle)}));
   WriteSeed(dir, "viol-wrong-direction.bin",
             stream(0, {MakeHello(0), MakeFrame(advance)}));
-  // Forged observability payloads: site id claims that contradict the
-  // connection's bound hello id.
-  {
-    SiteStatsReport forged_stats;
-    forged_stats.site = 5;
-    WriteSeed(dir, "viol-forged-stats.bin",
-              stream(0, {MakeHello(0), MakeStatsReport(forged_stats)}));
-    TraceChunk forged_trace;
-    forged_trace.site = 5;
-    WriteSeed(dir, "viol-forged-trace.bin",
-              stream(0, {MakeHello(0), MakeTraceChunk(forged_trace)}));
-  }
+  WriteSeed(dir, "viol-coordinator-hello.bin", stream(1, {MakeHello(0)}));
   // Version-mismatched hello.
   {
     Frame old_hello = MakeHello(0);
     old_hello.protocol_version = kProtocolVersion - 1;
     WriteSeed(dir, "viol-version-mismatch.bin",
-              stream(0, {old_hello, MakeHeartbeat(0)}));
+              stream(0, {old_hello, MakeHeartbeat({})}));
     // A v6 hello, byte for byte: version 6, site 0, and the trailing
     // capability varint v7 dropped.
     WriteSeed(dir, "viol-v6-hello.bin",
@@ -239,6 +221,12 @@ void GenProtocolStream(const fs::path& dir) {
     bytes.insert(bytes.end(), {0xff, 0xff, 0xff, 0xff});
     WriteSeed(dir, "malformed-oversized-prefix.bin", bytes);
   }
+  // v7's stats report (tag 7: zigzag site, then the stats) is a bad tag.
+  {
+    std::vector<uint8_t> bytes = stream(0, {MakeHello(0)});
+    bytes.insert(bytes.end(), {7, 0, 0, 0, 7, 0, 2, 1, 0, 0, 1});
+    WriteSeed(dir, "malformed-v7-stats-tag.bin", bytes);
+  }
 }
 
 void GenReactorStream(const fs::path& dir) {
@@ -255,7 +243,7 @@ void GenReactorStream(const fs::path& dir) {
   bundle.round = 1;
   bundle.reports.push_back(CounterReport{7, 1});
   SiteStatsReport stats;
-  stats.site = 0;
+  stats.events_processed = 1;
   EventBatch batch;
   batch.num_events = 1;
   batch.values = {0, 1};
@@ -264,9 +252,10 @@ void GenReactorStream(const fs::path& dir) {
 
   // Legal post-hello traffic, both directions.
   WriteSeed(dir, "legal-s2c.bin",
-            stream(0, {MakeFrame(bundle), MakeHeartbeat(0),
-                       MakeStatsReport(stats), MakeFrame(bundle),
-                       MakeChannelClose(FrameType::kUpdateBundle)}));
+            stream(0, {MakeFrame(bundle), MakeHeartbeat({}, stats),
+                       MakeFrame(bundle),
+                       MakeChannelClose(FrameType::kUpdateBundle),
+                       MakeHeartbeat({}, stats)}));
   WriteSeed(dir, "legal-c2s.bin",
             stream(1, {MakeFrame(batch), MakeFrame(advance),
                        MakeChannelClose(FrameType::kEventBatch),
@@ -284,7 +273,7 @@ void GenReactorStream(const fs::path& dir) {
     WriteSeed(dir, "malformed-bad-tag.bin", bytes);
   }
   {
-    std::vector<uint8_t> bytes = stream(0, {MakeHeartbeat(0)});
+    std::vector<uint8_t> bytes = stream(0, {MakeHeartbeat({})});
     bytes.insert(bytes.end(), {0xff, 0xff, 0xff, 0xff});
     WriteSeed(dir, "malformed-oversized-prefix.bin", bytes);
   }

@@ -350,7 +350,7 @@ struct SessionOptions {
   /// the merged, skew-corrected cluster timeline there as Chrome/Perfetto
   /// trace-event JSON (chrome://tracing, ui.perfetto.dev). Covers the
   /// coordinator process AND every site — external dsgm_site processes ship
-  /// their trace rings over kTraceChunk frames; in-process site threads
+  /// their trace rings inside their heartbeat frames; in-process site threads
   /// share the coordinator's rings. RunReport::trace_path records where it
   /// landed.
   std::string trace_out;

@@ -230,7 +230,7 @@ class ThreadsSession final : public ClusterSessionBase {
   }
 
   /// In-process sites: sample each SiteNode's live stats atomics straight
-  /// into the board (there is no wire for kStatsReport frames to ride).
+  /// into the board (there is no wire for telemetry frames to ride).
   void RefreshSiteHealth() const override {
     const int64_t now = NowNanos();
     for (size_t s = 0; s < sites_.size(); ++s) {

@@ -20,19 +20,18 @@
 namespace dsgm {
 namespace {
 
-/// Sends kHeartbeat frames from a periodic timer on the site's reactor, so
-/// liveness evidence flows even while the SiteNode thread is parked in a
-/// blocking push or pop.
+/// Sends one kHeartbeat telemetry frame per tick of a periodic timer on the
+/// site's reactor, so liveness evidence flows even while the SiteNode
+/// thread is parked in a blocking push or pop.
 ///
-/// Each heartbeat reflects the latest coordinator echo (OnEcho, fed by the
-/// connection's on_heartbeat hook), closing the NTP timestamp loop. It is
-/// followed by a kStatsReport frame sampled from `stats` — the
-/// coordinator's health table rides the liveness cadence for free. With
-/// `ship_traces`, an incremental kTraceChunk drain of this process's trace
-/// rings rides the same cadence (loss-tolerant: the drain cursor accounts
-/// for ring overwrite, and the coordinator reads gaps from the sequence
-/// numbers). Every member is loop-thread state: the echo hook and the timer
-/// both run on the reactor, so no lock couples them.
+/// Each frame reflects the latest coordinator echo (OnEcho, fed by the
+/// connection's on_heartbeat hook), closing the NTP timestamp loop, and
+/// carries the stats sampled from `stats` for the coordinator's health
+/// table. With `ship_traces` it also carries an incremental drain of this
+/// process's trace rings (loss-tolerant: the drain cursor accounts for ring
+/// overwrite, and the coordinator reads gaps from the sequence numbers).
+/// Every member is loop-thread state: the echo hook and the timer both run
+/// on the reactor, so no lock couples them.
 class HeartbeatSender {
  public:
   using StatsFn = std::function<SiteStatsReport()>;
@@ -74,34 +73,19 @@ class HeartbeatSender {
     hb.echo_recv_nanos = echo_recv_nanos_;
     hb.send_nanos = NowNanos();
     // Recorded before the drain below, so the beat's own trace event ships
-    // in the chunk that rides it — the coordinator's post-mortem of a dead
+    // in the frame it describes — the coordinator's post-mortem of a dead
     // site ends with that site's final heartbeat.
     Trace(TraceEventType::kHeartbeat, site_id_,
-          static_cast<int64_t>(heartbeats_sent_ + 1));
+          static_cast<int64_t>(++heartbeats_sent_));
+    TraceChunk trace;
+    if (ship_traces_) DrainTraceEvents(&cursor_, &trace.events, &trace.first_seq);
     // Telemetry bypasses the outbox cap: it is cadence-bounded, and the
-    // loop thread never parks on its own outbox anyway.
-    bool sent = connection_->SendFrame(MakeHeartbeat(site_id_, hb),
-                                       /*bypass_backpressure=*/true);
-    if (sent) {
-      ++heartbeats_sent_;
-      if (stats_) {
-        SiteStatsReport report = stats_();
-        report.site = site_id_;
-        report.heartbeats_sent = heartbeats_sent_;
-        sent = connection_->SendFrame(MakeStatsReport(report),
-                                      /*bypass_backpressure=*/true);
-      }
+    // loop thread never parks on its own outbox anyway. A failed send means
+    // the peer is gone; nothing is left to prove alive to.
+    if (!connection_->SendFrame(MakeHeartbeat(hb, stats_(), std::move(trace)),
+                                /*bypass_backpressure=*/true)) {
+      reactor_->CancelTimer(timer_);
     }
-    if (sent && ship_traces_) {
-      TraceChunk chunk;
-      chunk.site = site_id_;
-      if (DrainTraceEvents(&cursor_, &chunk.events, &chunk.first_seq) > 0) {
-        sent = connection_->SendFrame(MakeTraceChunk(std::move(chunk)),
-                                      /*bypass_backpressure=*/true);
-      }
-    }
-    // Peer gone; nothing left to prove alive to.
-    if (!sent) reactor_->CancelTimer(timer_);
   }
 
   Reactor* const reactor_;

@@ -6,7 +6,7 @@
 //     serves the SiteNode through a client-side ReactorConnection on an
 //     event loop of its own (net/reactor_transport.h): the loop coalesces
 //     the node's upstream frames into one write per wakeup, and a periodic
-//     timer on it sends the kHeartbeat liveness beacons. Finally it reports
+//     timer on it sends the kHeartbeat telemetry frames. Finally it reports
 //     final counts and lingers until the coordinator closes the connection.
 //     The public ServeSite() (include/dsgm/site_service.h) is a thin alias
 //     over this.
@@ -45,8 +45,8 @@ struct RemoteSiteConfig {
   /// immediately) is what lets the coordinator treat ANY mid-run EOF as a
   /// site failure.
   int shutdown_linger_ms = 30000;
-  /// Ship this process's trace rings to the coordinator in kTraceChunk
-  /// frames on the heartbeat cadence. True only for standalone site
+  /// Ship this process's trace rings to the coordinator inside its
+  /// heartbeat telemetry frames. True only for standalone site
   /// processes (ServeSite): a kLocalTcp in-process site shares the
   /// coordinator's trace log already, and shipping would duplicate every
   /// event on the merged timeline.

@@ -42,8 +42,8 @@ namespace dsgm {
 /// traffic flows through the Channels, which carry their own locks), so
 /// there is no mutex and nothing to annotate. The one exception is the
 /// stats block below: relaxed atomics written only by the Run() thread and
-/// readable live by an observer thread (the heartbeat sender piggybacking
-/// kStatsReport frames, or an in-process health board). local_counts() is
+/// readable live by an observer thread (the heartbeat sender filling its
+/// telemetry frames, or an in-process health board). local_counts() is
 /// still for AFTER the thread joined.
 class SiteNode {
  public:
@@ -65,7 +65,6 @@ class SiteNode {
   /// fine for monitoring: each is monotone.
   SiteStatsReport StatsReport() const {
     SiteStatsReport report;
-    report.site = site_id_;
     report.events_processed = events_processed_.load(std::memory_order_relaxed);
     report.updates_sent = updates_sent_.load(std::memory_order_relaxed);
     report.syncs_sent = syncs_sent_.load(std::memory_order_relaxed);

@@ -173,12 +173,13 @@ struct SiteHealth {
   uint64_t updates_sent = 0;
   uint64_t syncs_sent = 0;
   uint64_t rounds_seen = 0;
-  /// kStatsReport frames received from this site.
+  /// Telemetry frames (kHeartbeat, each carrying stats) received from this
+  /// site; in-process sites count health samples instead.
   uint64_t stats_reports = 0;
 };
 
-/// Coordinator-side per-site health table, fed by heartbeats and
-/// kStatsReport frames. Lock-free: each cell is a relaxed atomic written by
+/// Coordinator-side per-site health table, fed by telemetry frames
+/// (kHeartbeat). Lock-free: each cell is a relaxed atomic written by
 /// the reactor loop (kLocalTcp) or the site threads themselves (kThreads)
 /// and read by snapshotters; same consistency contract as the instruments.
 class SiteHealthBoard {
@@ -190,8 +191,8 @@ class SiteHealthBoard {
   /// Any frame arrived from `site` at `now_nanos` — resets the heartbeat
   /// age and (re)marks the site alive.
   void Touch(int site, int64_t now_nanos);
-  /// A kStatsReport from `site` (already validated against the connection's
-  /// authenticated id by the caller).
+  /// A stats sample from `site`: the telemetry frame of the connection
+  /// whose hello named `site`.
   void Update(int site, int64_t events_processed, uint64_t updates_sent,
               uint64_t syncs_sent, uint64_t rounds_seen);
   /// Liveness declared the site dead (or the protocol cancelled it).

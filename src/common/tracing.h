@@ -2,7 +2,7 @@
 //
 // common/metrics.h gives every thread a TraceRing and every process a
 // drain cursor; the net layer ships drained chunks coordinator-ward inside
-// kTraceChunk frames. This header is where the shipped pieces become one
+// its telemetry frames (kHeartbeat). This header is where the shipped pieces become one
 // picture:
 //
 //   ClusterTraceBoard   bounded per-site event logs fed by Ingest(), with

@@ -236,39 +236,24 @@ void AppendBatchBody(const EventBatch& batch, std::vector<uint8_t>* out) {
   }
 }
 
-void AppendStatsBody(const SiteStatsReport& stats, std::vector<uint8_t>* out) {
-  AppendZigzag(stats.site, out);
-  AppendZigzag(stats.events_processed, out);
-  AppendVarint(stats.updates_sent, out);
-  AppendVarint(stats.syncs_sent, out);
-  AppendVarint(stats.rounds_seen, out);
-  AppendVarint(stats.heartbeats_sent, out);
-}
-
-Status DecodeStatsBody(ByteReader* reader, SiteStatsReport* out) {
-  int64_t site = 0;
-  DSGM_RETURN_IF_ERROR(reader->ReadZigzag(&site));
-  if (site < INT32_MIN || site > INT32_MAX) {
-    return InvalidArgumentError("codec: stats report site out of range");
-  }
-  out->site = static_cast<int32_t>(site);
-  DSGM_RETURN_IF_ERROR(reader->ReadZigzag(&out->events_processed));
-  if (out->events_processed < 0) {
-    return InvalidArgumentError("codec: stats report events out of range");
-  }
-  DSGM_RETURN_IF_ERROR(reader->ReadVarint(&out->updates_sent));
-  DSGM_RETURN_IF_ERROR(reader->ReadVarint(&out->syncs_sent));
-  DSGM_RETURN_IF_ERROR(reader->ReadVarint(&out->rounds_seen));
-  DSGM_RETURN_IF_ERROR(reader->ReadVarint(&out->heartbeats_sent));
-  return Status::Ok();
-}
-
-void AppendTraceChunkBody(const TraceChunk& chunk, std::vector<uint8_t>* out) {
-  AppendZigzag(chunk.site, out);
-  AppendVarint(chunk.first_seq, out);
-  AppendVarint(chunk.events.size(), out);
+// Telemetry (kHeartbeat) body:
+//
+//   zigzag send_nanos | zigzag echo_nanos | zigzag echo_recv_nanos
+//   | zigzag events_processed | varint updates_sent | varint syncs_sent
+//   | varint rounds_seen | varint first_seq | varint event count
+//   | count x (zigzag t delta | u8 type | zigzag site | zigzag arg)
+void AppendTelemetryBody(const Frame& frame, std::vector<uint8_t>* out) {
+  AppendZigzag(frame.hb.send_nanos, out);
+  AppendZigzag(frame.hb.echo_nanos, out);
+  AppendZigzag(frame.hb.echo_recv_nanos, out);
+  AppendZigzag(frame.stats.events_processed, out);
+  AppendVarint(frame.stats.updates_sent, out);
+  AppendVarint(frame.stats.syncs_sent, out);
+  AppendVarint(frame.stats.rounds_seen, out);
+  AppendVarint(frame.trace.first_seq, out);
+  AppendVarint(frame.trace.events.size(), out);
   int64_t previous = 0;
-  for (const TraceEvent& event : chunk.events) {
+  for (const TraceEvent& event : frame.trace.events) {
     // Delta-coded timestamps (events are near-sorted, so deltas are small);
     // two's-complement wraparound like bundle counter ids.
     AppendZigzag(static_cast<int64_t>(static_cast<uint64_t>(event.t_nanos) -
@@ -281,18 +266,23 @@ void AppendTraceChunkBody(const TraceChunk& chunk, std::vector<uint8_t>* out) {
   }
 }
 
-Status DecodeTraceChunkBody(ByteReader* reader, TraceChunk* out) {
-  int64_t site = 0;
-  DSGM_RETURN_IF_ERROR(reader->ReadZigzag(&site));
-  if (site < INT32_MIN || site > INT32_MAX) {
-    return InvalidArgumentError("codec: trace chunk site out of range");
+Status DecodeTelemetryBody(ByteReader* reader, Frame* out) {
+  DSGM_RETURN_IF_ERROR(reader->ReadZigzag(&out->hb.send_nanos));
+  DSGM_RETURN_IF_ERROR(reader->ReadZigzag(&out->hb.echo_nanos));
+  DSGM_RETURN_IF_ERROR(reader->ReadZigzag(&out->hb.echo_recv_nanos));
+  DSGM_RETURN_IF_ERROR(reader->ReadZigzag(&out->stats.events_processed));
+  if (out->stats.events_processed < 0) {
+    return InvalidArgumentError("codec: telemetry events out of range");
   }
-  out->site = static_cast<int32_t>(site);
-  DSGM_RETURN_IF_ERROR(reader->ReadVarint(&out->first_seq));
+  DSGM_RETURN_IF_ERROR(reader->ReadVarint(&out->stats.updates_sent));
+  DSGM_RETURN_IF_ERROR(reader->ReadVarint(&out->stats.syncs_sent));
+  DSGM_RETURN_IF_ERROR(reader->ReadVarint(&out->stats.rounds_seen));
+  DSGM_RETURN_IF_ERROR(reader->ReadVarint(&out->trace.first_seq));
   uint64_t count = 0;
   DSGM_RETURN_IF_ERROR(reader->ReadVarint(&count));
-  out->events.clear();
-  out->events.reserve(SafeReserve(count, reader->remaining(), 4));
+  std::vector<TraceEvent>& events = out->trace.events;
+  events.clear();
+  events.reserve(SafeReserve(count, reader->remaining(), 4));
   int64_t previous = 0;
   for (uint64_t i = 0; i < count; ++i) {
     TraceEvent event;
@@ -314,7 +304,7 @@ Status DecodeTraceChunkBody(ByteReader* reader, TraceChunk* out) {
     }
     event.site = static_cast<int32_t>(event_site);
     DSGM_RETURN_IF_ERROR(reader->ReadZigzag(&event.arg));
-    out->events.push_back(event);
+    events.push_back(event);
   }
   return Status::Ok();
 }
@@ -456,34 +446,13 @@ Frame MakeHello(int32_t site) {
   return frame;
 }
 
-Frame MakeHeartbeat(int32_t site) {
+Frame MakeHeartbeat(const HeartbeatTimestamps& hb,
+                    const SiteStatsReport& stats, TraceChunk trace) {
   Frame frame;
   frame.type = FrameType::kHeartbeat;
-  frame.site = site;
-  return frame;
-}
-
-Frame MakeHeartbeat(int32_t site, const HeartbeatTimestamps& hb) {
-  Frame frame;
-  frame.type = FrameType::kHeartbeat;
-  frame.site = site;
   frame.hb = hb;
-  return frame;
-}
-
-Frame MakeStatsReport(const SiteStatsReport& stats) {
-  Frame frame;
-  frame.type = FrameType::kStatsReport;
-  frame.site = stats.site;
   frame.stats = stats;
-  return frame;
-}
-
-Frame MakeTraceChunk(TraceChunk chunk) {
-  Frame frame;
-  frame.type = FrameType::kTraceChunk;
-  frame.site = chunk.site;
-  frame.trace = std::move(chunk);
+  frame.trace = std::move(trace);
   return frame;
 }
 
@@ -509,16 +478,7 @@ void AppendFrame(const Frame& frame, std::vector<uint8_t>* out) {
       AppendZigzag(frame.site, out);
       break;
     case FrameType::kHeartbeat:
-      AppendZigzag(frame.site, out);
-      AppendZigzag(frame.hb.send_nanos, out);
-      AppendZigzag(frame.hb.echo_nanos, out);
-      AppendZigzag(frame.hb.echo_recv_nanos, out);
-      break;
-    case FrameType::kStatsReport:
-      AppendStatsBody(frame.stats, out);
-      break;
-    case FrameType::kTraceChunk:
-      AppendTraceChunkBody(frame.trace, out);
+      AppendTelemetryBody(frame, out);
       break;
   }
   const size_t payload = out->size() - prefix_at - 4;
@@ -534,7 +494,7 @@ Status DecodeFramePayload(const uint8_t* data, size_t size, Frame* out) {
   uint8_t type = 0;
   DSGM_RETURN_IF_ERROR(reader.ReadU8(&type));
   if (type < static_cast<uint8_t>(FrameType::kUpdateBundle) ||
-      type > static_cast<uint8_t>(FrameType::kTraceChunk)) {
+      type > static_cast<uint8_t>(FrameType::kHeartbeat)) {
     return InvalidArgumentError("codec: bad frame type tag");
   }
   out->type = static_cast<FrameType>(type);
@@ -572,25 +532,8 @@ Status DecodeFramePayload(const uint8_t* data, size_t size, Frame* out) {
       if (out->protocol_version != kProtocolVersion) reader.SkipRemaining();
       break;
     }
-    case FrameType::kHeartbeat: {
-      int64_t site = 0;
-      DSGM_RETURN_IF_ERROR(reader.ReadZigzag(&site));
-      if (site < INT32_MIN || site > INT32_MAX) {
-        return InvalidArgumentError("codec: heartbeat site out of range");
-      }
-      out->site = static_cast<int32_t>(site);
-      DSGM_RETURN_IF_ERROR(reader.ReadZigzag(&out->hb.send_nanos));
-      DSGM_RETURN_IF_ERROR(reader.ReadZigzag(&out->hb.echo_nanos));
-      DSGM_RETURN_IF_ERROR(reader.ReadZigzag(&out->hb.echo_recv_nanos));
-      break;
-    }
-    case FrameType::kStatsReport:
-      DSGM_RETURN_IF_ERROR(DecodeStatsBody(&reader, &out->stats));
-      out->site = out->stats.site;
-      break;
-    case FrameType::kTraceChunk:
-      DSGM_RETURN_IF_ERROR(DecodeTraceChunkBody(&reader, &out->trace));
-      out->site = out->trace.site;
+    case FrameType::kHeartbeat:
+      DSGM_RETURN_IF_ERROR(DecodeTelemetryBody(&reader, out));
       break;
   }
   if (!reader.done()) {

@@ -9,11 +9,13 @@
 // counter ids inside a bundle are delta-coded (sync bundles enumerate dense
 // counter ranges, so deltas collapse to one byte each). Event batches are
 // column bit-packed instead: per-column min and bit width, then each value
-// as value - min in that many bits (codec.cc has the layout). Of the eight
+// as value - min in that many bits (codec.cc has the layout). Of the six
 // frame types, three carry the counter protocol's messages (update bundles,
-// round advances, event batches), two are observability frames
-// (kStatsReport, kTraceChunk), and three are transport control frames
+// round advances, event batches), and three are transport control frames
 // (kChannelClose, kHello, kHeartbeat) that never reach application code.
+// kHeartbeat is the only telemetry frame: liveness, clock samples, health
+// stats and the trace drain ride one frame, attributed by the connection it
+// arrives on (its hello), never by a site id in the payload.
 //
 // Decoding is defensive: truncated frames, oversized length prefixes, bad
 // enum tags, and trailing bytes all return a Status error and never touch
@@ -37,12 +39,11 @@ enum class FrameType : uint8_t {
   kEventBatch = 3,    // dispatcher -> site
   kChannelClose = 4,  // transport control: sender closed one logical channel
   kHello = 5,         // transport control: connection announces its site id
-  kHeartbeat = 6,     // transport control: liveness beacon with clock
-                      // samples; the coordinator echoes it back to the site
-  kStatsReport = 7,   // observability: per-site stats piggybacked on heartbeats
-  kTraceChunk = 8,    // observability: incremental TraceRing drain (site ->
-                      // coordinator), piggybacked on the heartbeat cadence
-  // 9 was the v6 compression envelope; the decoder rejects it as a bad tag.
+  kHeartbeat = 6,     // telemetry: clock samples, health stats and trace
+                      // drain (site -> coordinator); the coordinator echoes
+                      // it back to the site with only its clock sample set
+  // 7 and 8 were the v7 stats report and trace chunk, 9 the v6 compression
+  // envelope; the decoder rejects all three as bad tags.
 };
 
 /// Wire protocol revision, carried in every kHello frame ahead of the site
@@ -51,7 +52,9 @@ enum class FrameType : uint8_t {
 /// version with a clear Status instead of misparsing later frames.
 /// v7: a hello is the version and the site id only (v6 added a capability
 /// varint), and there is no compression envelope.
-constexpr uint8_t kProtocolVersion = 7;
+/// v8: kHeartbeat is the one telemetry frame (v7's kStatsReport and
+/// kTraceChunk folded into it), and no telemetry payload names a site.
+constexpr uint8_t kProtocolVersion = 8;
 
 /// Tagged union of everything a connection can carry. Only the member
 /// selected by `type` is meaningful.
@@ -66,22 +69,14 @@ struct Frame {
   /// The codec round-trips any version value, and ignores whatever follows
   /// the site id in a hello of another version; rejecting mismatches is the
   /// transport's job (it owns the error message and the Status code).
-  /// kHeartbeat reuses `site`: the sender's claimed site id. Receivers treat
-  /// heartbeats as per-connection liveness evidence only — the claimed id is
-  /// never used to index protocol state, so a forged id proves nothing but
-  /// the forger's own connection being alive.
   int32_t site = -1;
   uint8_t protocol_version = kProtocolVersion;
-  /// kStatsReport: the sender's cumulative stats. Like heartbeats, the
-  /// embedded site id is a claim — receivers must check it against the
-  /// connection's authenticated id and drop mismatches before letting it
-  /// index the health table.
-  SiteStatsReport stats;
-  /// kHeartbeat: the clock samples for skew estimation (net/wire.h).
-  /// Zeros before the first echo round-trip.
+  /// kHeartbeat: the clock samples for skew estimation (net/wire.h), zeros
+  /// before the first echo round-trip; the sender's cumulative stats; and
+  /// the trace drain since the previous frame. An echo sets only
+  /// hb.send_nanos.
   HeartbeatTimestamps hb;
-  /// kTraceChunk: the shipped trace events. The embedded site id is a
-  /// claim, checked against the connection's hello id like stats reports.
+  SiteStatsReport stats;
   TraceChunk trace;
 };
 
@@ -90,10 +85,8 @@ Frame MakeFrame(RoundAdvance advance);
 Frame MakeFrame(EventBatch batch);
 Frame MakeChannelClose(FrameType channel);
 Frame MakeHello(int32_t site);
-Frame MakeHeartbeat(int32_t site);
-Frame MakeHeartbeat(int32_t site, const HeartbeatTimestamps& hb);
-Frame MakeStatsReport(const SiteStatsReport& stats);
-Frame MakeTraceChunk(TraceChunk chunk);
+Frame MakeHeartbeat(const HeartbeatTimestamps& hb,
+                    const SiteStatsReport& stats = {}, TraceChunk trace = {});
 
 /// Upper bound on one frame's payload; a length prefix above this is
 /// rejected before any allocation (protects against corrupt peers).

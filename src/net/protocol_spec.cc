@@ -33,24 +33,16 @@ constexpr AllowRow kAllowedTransitions[] = {
      ProtocolState::kActive},
     {ProtocolState::kActive, kS2C, WireInput::kInCloseUpdates,
      ProtocolState::kDraining},
-    // Liveness traffic: heartbeats may linger through Draining (the site
-    // waits for the coordinator's hangup); stats reports and trace chunks
-    // are data — data after the update-lane close is a violation.
+    // Telemetry (liveness, clock samples, health stats, trace drain) may
+    // linger through Draining: the site waits for the coordinator's hangup.
     {ProtocolState::kActive, kS2C, WireInput::kInHeartbeat,
      ProtocolState::kActive},
     {ProtocolState::kDraining, kS2C, WireInput::kInHeartbeat,
      ProtocolState::kDraining},
-    {ProtocolState::kActive, kS2C, WireInput::kInStatsReport,
-     ProtocolState::kActive},
-    {ProtocolState::kActive, kS2C, WireInput::kInTraceChunk,
-     ProtocolState::kActive},
 
     // --- site receiving from the coordinator -----------------------------
-    // Transports build the site's machine kActive (its own hello is the
-    // handshake); a machine built awaiting a hello, as the stream checker
-    // is, takes one and then none again.
-    {ProtocolState::kAwaitingHello, kC2S, WireInput::kInHello,
-     ProtocolState::kActive},
+    // A site's machine starts kActive (InitialProtocolState): its own hello
+    // is the handshake, and no coordinator frame is legal before it.
     {ProtocolState::kActive, kC2S, WireInput::kInEventBatch,
      ProtocolState::kActive},
     {ProtocolState::kActive, kC2S, WireInput::kInRoundAdvance,
@@ -135,10 +127,6 @@ WireInput WireInputOf(const Frame& frame) {
       return WireInput::kInHello;
     case FrameType::kHeartbeat:
       return WireInput::kInHeartbeat;
-    case FrameType::kStatsReport:
-      return WireInput::kInStatsReport;
-    case FrameType::kTraceChunk:
-      return WireInput::kInTraceChunk;
   }
   DSGM_CHECK(false) << "WireInputOf: frame type "
                     << static_cast<int>(frame.type)
@@ -188,13 +176,12 @@ const char* WireInputName(WireInput input) {
       return "hello";
     case WireInput::kInHeartbeat:
       return "heartbeat";
-    case WireInput::kInStatsReport:
-      return "stats_report";
-    case WireInput::kInTraceChunk:
-      return "trace_chunk";
   }
   return "unknown";
 }
+
+ProtocolConformance::ProtocolConformance(ProtocolDirection direction)
+    : ProtocolConformance(direction, InitialProtocolState(direction)) {}
 
 ProtocolConformance::ProtocolConformance(ProtocolDirection direction,
                                          ProtocolState initial)
@@ -223,18 +210,6 @@ ProtocolVerdict ProtocolConformance::OnFrame(const Frame& frame) {
       frame.protocol_version != kProtocolVersion) {
     return CountViolation(ProtocolVerdict::kVersionMismatch);
   }
-  // Payload semantics: observability frames embed a site-id claim that must
-  // match the connection's authenticated (hello) id. A mismatch is forged
-  // attribution — terminal, like any structural violation.
-  if (bound_site_ >= 0) {
-    if ((input == WireInput::kInStatsReport &&
-         frame.stats.site != bound_site_) ||
-        (input == WireInput::kInTraceChunk &&
-         frame.trace.site != bound_site_)) {
-      return CountViolation(ProtocolVerdict::kViolation);
-    }
-  }
-  if (input == WireInput::kInHello) bound_site_ = frame.site;
   state_ = rule.next;
   return ProtocolVerdict::kAccept;
 }
@@ -244,6 +219,9 @@ ProtocolVerdict ProtocolConformance::OnMalformedFrame() {
 }
 
 void ProtocolConformance::MarkClosed() { state_ = ProtocolState::kClosed; }
+
+ProtocolStreamChecker::ProtocolStreamChecker(ProtocolDirection direction)
+    : conformance_(direction) {}
 
 ProtocolStreamChecker::ProtocolStreamChecker(ProtocolDirection direction,
                                              ProtocolState initial)

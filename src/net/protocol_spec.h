@@ -4,7 +4,7 @@
 // implicitly — a stray check in an accept loop here, an "ignore defensively"
 // switch arm there. This header makes the contract explicit and machine
 // checkable: a connection is in one of four states, every decodable frame is
-// one of ten wire inputs, and a dense (state × direction × input) table
+// one of eight wire inputs, and a dense (state × direction × input) table
 // assigns each combination a verdict. Anything the table does not
 // explicitly allow is a violation — the table is built allow-list-first, so
 // a new frame kind is rejected everywhere until the spec says otherwise.
@@ -12,29 +12,35 @@
 // The two directions are the two receive machines of one connection:
 //
 //   kSiteToCoordinator   what a coordinator accepts FROM a site
-//       hello first; then update bundles, heartbeats, stats reports and
-//       trace chunks; the site may close its update lane
-//       (-> Draining), after which only heartbeats are legal while it
-//       lingers for the coordinator's hangup. Sites never send events,
-//       commands, or closes for lanes they do not own.
+//       hello first; then update bundles and telemetry (kHeartbeat, the
+//       one frame carrying liveness, clock samples, health stats and the
+//       trace drain). The site may close its update lane (-> Draining),
+//       after which only telemetry is legal while it lingers for the
+//       coordinator's hangup. No site role sends that close today; the
+//       rule keeps a lingering site's telemetry legal if one ever does.
+//       Sites never send events, commands, or closes for lanes they do
+//       not own. Telemetry names no site: the connection's hello is its
+//       only attribution, so a site cannot speak for another's row.
 //
 //   kCoordinatorToSite   what a site accepts FROM the coordinator
 //       event batches and round-advance commands, plus heartbeat echoes
 //       (the coordinator reflects each site heartbeat so the site can close
 //       the NTP timestamp loop). The handshake is one hello, site to
 //       coordinator: the coordinator sends none, so a site's machine starts
-//       kActive and a hello from the coordinator is a violation. The event
+//       kActive, no rule leaves kAwaitingHello, and a hello from the
+//       coordinator is a violation. The event
 //       lane may close while commands continue (dispatcher finishes before
 //       the protocol loop); closing the command lane is the coordinator's
 //       final word (-> Draining), after which only straggler events, the
 //       event-lane close, and heartbeat echoes are legal. Coordinators
-//       never send updates, stats, or trace chunks.
+//       never send updates or update-lane closes.
 //
 // A violation is terminal (-> Closed, where everything is a violation), is
 // counted on the process-wide `net.protocol.violations` counter, and makes
 // the transport drop the connection. tests/protocol_spec_test.cc
 // model-checks the table by exhaustive enumeration: totality, hello before
-// anything, nothing after close, directional ownership, reachability.
+// anything (site to coordinator), nothing after close, directional
+// ownership, reachability.
 
 #ifndef DSGM_NET_PROTOCOL_SPEC_H_
 #define DSGM_NET_PROTOCOL_SPEC_H_
@@ -83,17 +89,14 @@ enum class WireInput : uint8_t {
   kInCloseCommands = 4,  // kChannelClose(kRoundAdvance)
   kInCloseEvents = 5,    // kChannelClose(kEventBatch)
   kInHello = 6,
-  kInHeartbeat = 7,
-  kInStatsReport = 8,
-  kInTraceChunk = 9,
+  kInHeartbeat = 7,  // telemetry (and, to a site, its echo)
 };
-inline constexpr size_t kNumWireInputs = 10;
+inline constexpr size_t kNumWireInputs = 8;
 inline constexpr WireInput kAllWireInputs[kNumWireInputs] = {
     WireInput::kInUpdateBundle, WireInput::kInRoundAdvance,
     WireInput::kInEventBatch,   WireInput::kInCloseUpdates,
     WireInput::kInCloseCommands, WireInput::kInCloseEvents,
-    WireInput::kInHello,        WireInput::kInHeartbeat,
-    WireInput::kInStatsReport,  WireInput::kInTraceChunk};
+    WireInput::kInHello,        WireInput::kInHeartbeat};
 
 enum class ProtocolVerdict : uint8_t {
   kAccept = 0,
@@ -109,6 +112,15 @@ struct FrameRule {
   ProtocolVerdict verdict = ProtocolVerdict::kViolation;
   ProtocolState next = ProtocolState::kClosed;
 };
+
+/// Where a fresh connection's machine starts: a coordinator awaits the
+/// site's hello (kAwaitingHello); a site starts kActive, because its own
+/// hello is the whole handshake and the coordinator sends none.
+constexpr ProtocolState InitialProtocolState(ProtocolDirection direction) {
+  return direction == ProtocolDirection::kSiteToCoordinator
+             ? ProtocolState::kAwaitingHello
+             : ProtocolState::kActive;
+}
 
 /// The table lookup itself.
 const FrameRule& LookupRule(ProtocolState state, ProtocolDirection direction,
@@ -132,12 +144,11 @@ class ProtocolConformance {
  public:
   /// Every hello must claim kProtocolVersion; any other version is a
   /// kVersionMismatch for the first hello and a violation afterwards.
-  /// Connections whose handshake happened out-of-band pass `initial` =
-  /// kActive: the coordinator's accept loop reads the hello before the
-  /// connection exists, and a site's own hello is the whole handshake.
-  explicit ProtocolConformance(
-      ProtocolDirection direction,
-      ProtocolState initial = ProtocolState::kAwaitingHello);
+  /// Starts in InitialProtocolState(direction).
+  explicit ProtocolConformance(ProtocolDirection direction);
+  /// Starts in `initial`. The coordinator's transport passes kActive: its
+  /// accept loop reads the hello before the connection exists.
+  ProtocolConformance(ProtocolDirection direction, ProtocolState initial);
 
   /// Feeds one decoded frame through the table; advances the state. On
   /// kViolation/kVersionMismatch the state is kClosed and the caller must
@@ -149,21 +160,11 @@ class ProtocolConformance {
   /// terminal.
   ProtocolVerdict OnMalformedFrame();
 
-  /// Binds the connection's authenticated site id so payload-embedded site
-  /// claims can be checked at the spec layer: a kStatsReport or kTraceChunk
-  /// whose payload names a different site than the connection's hello is a
-  /// protocol violation (forged attribution), terminal like any other.
-  /// Called automatically when OnFrame accepts a hello; call it explicitly
-  /// for connections constructed kActive (out-of-band handshake). Unbound
-  /// connections (site id < 0) skip the payload check.
-  void BindSiteId(int32_t site) { bound_site_ = site; }
-
   /// Orderly end of the byte stream (EOF, owner shutdown). Not a violation.
   void MarkClosed();
 
   ProtocolState state() const { return state_; }
   ProtocolDirection direction() const { return direction_; }
-  int32_t bound_site() const { return bound_site_; }
   /// Violations charged to THIS connection (the metric is process-wide).
   uint64_t violations() const { return violations_; }
 
@@ -172,7 +173,6 @@ class ProtocolConformance {
 
   const ProtocolDirection direction_;
   ProtocolState state_;
-  int32_t bound_site_ = -1;
   uint64_t violations_ = 0;
   Counter* const violations_metric_;
 };
@@ -184,9 +184,8 @@ class ProtocolConformance {
 /// adversarial byte streams, and unit-testable without sockets.
 class ProtocolStreamChecker {
  public:
-  explicit ProtocolStreamChecker(
-      ProtocolDirection direction,
-      ProtocolState initial = ProtocolState::kAwaitingHello);
+  explicit ProtocolStreamChecker(ProtocolDirection direction);
+  ProtocolStreamChecker(ProtocolDirection direction, ProtocolState initial);
 
   /// Appends bytes and parses every complete frame. The first framing,
   /// codec, or conformance error is sticky — like a transport, the checker

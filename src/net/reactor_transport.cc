@@ -105,14 +105,6 @@ ReactorConnection::ReactorConnection(Reactor* reactor, TcpSocket socket,
           MetricsRegistry::Global().GetCounter("net.reactor.read_resumes")),
       heartbeats_rx_(
           MetricsRegistry::Global().GetCounter("net.reactor.heartbeats_rx")),
-      stats_reports_rx_(MetricsRegistry::Global().GetCounter(
-          "net.reactor.stats_reports_rx")),
-      forged_stats_dropped_(MetricsRegistry::Global().GetCounter(
-          "net.reactor.forged_stats_dropped")),
-      trace_chunks_rx_(MetricsRegistry::Global().GetCounter(
-          "net.reactor.trace_chunks_rx")),
-      forged_trace_dropped_(MetricsRegistry::Global().GetCounter(
-          "net.reactor.forged_trace_dropped")),
       outbox_bytes_(
           MetricsRegistry::Global().GetGauge("net.reactor.outbox_bytes")) {
   DSGM_CHECK(socket_.SetNonBlocking().ok());
@@ -147,13 +139,6 @@ void ReactorConnection::Start() {
 
 void ReactorConnection::RegisterOnLoop() {
   if (read_done_) return;  // Owner shut down before the loop saw us.
-  if (options_.receive_direction == ProtocolDirection::kSiteToCoordinator) {
-    // The blocking handshake consumed the hello before this connection
-    // existed, so the conformance machine never saw it: bind the
-    // authenticated site id explicitly so payload-embedded site claims
-    // (kStatsReport, kTraceChunk) are checked at the spec layer.
-    conformance_.BindSiteId(site_);
-  }
   last_rx_nanos_ = NowNanos();
   if (options_.health) options_.health->Touch(site_, last_rx_nanos_);
   reactor_->AddFd(socket_.fd(), EPOLLIN | EPOLLOUT, [this](uint32_t events) {
@@ -366,15 +351,6 @@ bool ReactorConnection::ParseFrames() {
     // frame, so it must not (and does not) pass through the table again.
     const char* state_name = ProtocolStateName(conformance_.state());
     if (conformance_.OnFrame(frame) != ProtocolVerdict::kAccept) {
-      // Keep the forged-attribution counters honest: the spec layer rejects
-      // an observability payload claiming another site's id before delivery
-      // ever sees it.
-      if (frame.type == FrameType::kStatsReport && frame.stats.site != site_) {
-        forged_stats_dropped_->Increment();
-      } else if (frame.type == FrameType::kTraceChunk &&
-                 frame.trace.site != site_) {
-        forged_trace_dropped_->Increment();
-      }
       Trace(TraceEventType::kProtocolViolation, site_,
             static_cast<int64_t>(frame.type));
       EndRead(options_.liveness_timeout_ms > 0
@@ -438,9 +414,9 @@ bool ReactorConnection::TryDeliver(Frame* frame) {
         if (options_.on_heartbeat) options_.on_heartbeat(frame->hb, NowNanos());
         return true;
       }
-      // Liveness is credited by the read itself (last_rx_nanos_); the
-      // claimed site id is deliberately ignored — a forged id proves
-      // nothing beyond this connection being alive.
+      // Telemetry from a site: liveness is credited by the read itself
+      // (last_rx_nanos_), and everything else lands on this connection's
+      // row — the frame names no site.
       heartbeats_rx_->Increment();
       Trace(TraceEventType::kHeartbeat, site_, 0);
       const int64_t now = NowNanos();
@@ -452,22 +428,9 @@ bool ReactorConnection::TryDeliver(Frame* frame) {
                                             frame->hb.echo_recv_nanos,
                                             frame->hb.send_nanos, now);
       }
-      if (options_.echo_heartbeats) {
-        HeartbeatTimestamps echo;
-        echo.send_nanos = now;
-        SendFrame(MakeHeartbeat(site_, echo), /*bypass_backpressure=*/true);
-      }
-      return true;
-    }
-    case FrameType::kStatsReport:
-      stats_reports_rx_->Increment();
-      // The spec layer already rejected a mismatched site claim as a
-      // protocol violation (the conformance machine is bound to this
-      // connection's id); this re-check is a defensive backstop only.
-      if (frame->stats.site != site_) {
-        forged_stats_dropped_->Increment();
-        return true;
-      }
+      HeartbeatTimestamps echo;
+      echo.send_nanos = now;
+      SendFrame(MakeHeartbeat(echo), /*bypass_backpressure=*/true);
       if (options_.health) {
         options_.health->Update(site_, frame->stats.events_processed,
                                 frame->stats.updates_sent,
@@ -476,18 +439,12 @@ bool ReactorConnection::TryDeliver(Frame* frame) {
       }
       Trace(TraceEventType::kStatsReport, site_,
             frame->stats.events_processed);
-      return true;
-    case FrameType::kTraceChunk:
-      trace_chunks_rx_->Increment();
-      if (frame->trace.site != site_) {  // same backstop as stats reports
-        forged_trace_dropped_->Increment();
-        return true;
-      }
-      if (options_.trace_board) {
+      if (options_.trace_board && !frame->trace.events.empty()) {
         options_.trace_board->Ingest(site_, frame->trace.first_seq,
                                      frame->trace.events);
       }
       return true;
+    }
   }
   return true;
 }
@@ -633,7 +590,6 @@ Status ReactorCoordinator::AcceptSites(TcpListener* listener) {
     connection_options.liveness_timeout_ms = options_.liveness_timeout_ms;
     connection_options.health = options_.health;
     connection_options.trace_board = options_.trace_board;
-    connection_options.echo_heartbeats = true;
     connection_options.receive_direction =
         ProtocolDirection::kSiteToCoordinator;
     const int site_id = *hello;

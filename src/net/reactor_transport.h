@@ -13,7 +13,7 @@
 // kCoordinatorToSite) on a loop of its own — see cluster/remote_runner.h.
 //
 // On top of the loop sits the liveness protocol: sites send kHeartbeat
-// frames (net/codec.h) on an interval, the coordinator arms a per-site
+// telemetry frames (net/codec.h) on an interval, the coordinator arms a per-site
 // deadline timer, and a site that goes silent past the timeout — or whose
 // connection drops mid-run — is declared dead with an UNAVAILABLE status
 // naming the site. The session layer's default policy (FailRun) cancels
@@ -275,19 +275,13 @@ class ReactorConnection {
     std::function<void()> on_read_end;
     /// Optional per-site health table (owned by the caller, must outlive the
     /// connection). The connection Touch()es it on received traffic, folds
-    /// kStatsReport frames into it — after checking the claimed site id
-    /// against this connection's authenticated one — and MarkDead()s it on
-    /// a read failure.
+    /// each telemetry frame's stats into this connection's row, and
+    /// MarkDead()s it on a read failure.
     SiteHealthBoard* health = nullptr;
     /// Optional cluster trace board (owned by the caller, must outlive the
-    /// connection). Validated kTraceChunk frames are Ingest()ed into it and
-    /// heartbeat clock samples feed its per-site skew estimator.
+    /// connection). Telemetry trace drains are Ingest()ed into it and their
+    /// clock samples feed its per-site skew estimator.
     ClusterTraceBoard* trace_board = nullptr;
-    /// Coordinator side: reflect every received heartbeat back to the site
-    /// (stamped with the local clock) so the site can close the NTP
-    /// timestamp loop. Echoes bypass backpressure like commands — they are
-    /// heartbeat-cadence bounded, so they cannot grow the outbox unbounded.
-    bool echo_heartbeats = false;
     /// Site side (receive_direction = kCoordinatorToSite): invoked (reactor
     /// thread) for every received kHeartbeat — the coordinator's echo — with
     /// its timestamps and the local receive time. The site's heartbeat timer
@@ -297,11 +291,12 @@ class ReactorConnection {
     /// Which half of the protocol this connection RECEIVES (see
     /// net/protocol_spec.h). Every decoded frame is checked against the
     /// conformance table for this direction; a violation drops the
-    /// connection and counts on `net.protocol.violations`. For the
-    /// site-to-coordinator half the conformance machine is bound to this
-    /// connection's site id, so a payload claiming another site id
-    /// (kStatsReport, kTraceChunk) is a protocol violation, not just a
-    /// dropped report.
+    /// connection and counts on `net.protocol.violations`. A connection
+    /// receiving kSiteToCoordinator is the coordinator's: it attributes
+    /// telemetry to `site` (the hello's id) and reflects every telemetry
+    /// frame back as an echo stamped with the local clock, so the site can
+    /// close the NTP loop. Echoes bypass backpressure like commands; they
+    /// are heartbeat-cadence bounded.
     ProtocolDirection receive_direction =
         ProtocolDirection::kSiteToCoordinator;
   };
@@ -427,10 +422,6 @@ class ReactorConnection {
   Counter* const read_pauses_;
   Counter* const read_resumes_;
   Counter* const heartbeats_rx_;
-  Counter* const stats_reports_rx_;
-  Counter* const forged_stats_dropped_;
-  Counter* const trace_chunks_rx_;
-  Counter* const forged_trace_dropped_;
   /// Process-wide staged-but-unwritten outbox bytes, maintained as deltas
   /// under outbox_mu_ so breaks cannot double-subtract.
   Gauge* const outbox_bytes_;
@@ -450,10 +441,10 @@ class ReactorCoordinator {
     /// Reactor thread, at most once per site: the site was declared dead.
     std::function<void(int site, const Status&)> on_site_failure;
     /// Optional live per-site health table; must outlive the coordinator.
-    /// Fed from heartbeats/kStatsReport by each connection.
+    /// Fed from telemetry frames by each connection.
     SiteHealthBoard* health = nullptr;
     /// Optional cluster trace board; must outlive the coordinator. Fed from
-    /// kTraceChunk frames and heartbeat clock samples by each connection.
+    /// telemetry trace drains and clock samples by each connection.
     ClusterTraceBoard* trace_board = nullptr;
   };
 

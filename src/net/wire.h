@@ -74,19 +74,18 @@ struct EventBatch {
   std::vector<int32_t> values;
 };
 
-/// Site -> coordinator observability frame, piggybacked on the heartbeat
-/// cadence: cumulative counters the coordinator folds into its live
-/// per-site health table (common/metrics.h SiteHealthBoard). All fields are
-/// totals since the site started, so a lost report costs nothing.
+/// The health half of a site's telemetry frame (kHeartbeat, net/codec.h):
+/// cumulative counters the coordinator folds into its live per-site health
+/// table (common/metrics.h SiteHealthBoard), on the row of the connection
+/// the frame arrived on. All fields are totals since the site started, so
+/// a lost frame costs nothing.
 struct SiteStatsReport {
-  int32_t site = -1;
   int64_t events_processed = 0;
   /// kReports bundles sent (one per run of up to kMaxEventsPerReportBundle
   /// events), not counter reports.
   uint64_t updates_sent = 0;
   uint64_t syncs_sent = 0;
   uint64_t rounds_seen = 0;
-  uint64_t heartbeats_sent = 0;
 };
 
 /// Heartbeat timing payload. Heartbeats carry three clock
@@ -108,14 +107,13 @@ struct HeartbeatTimestamps {
   int64_t echo_recv_nanos = 0;
 };
 
-/// Site -> coordinator observability frame, piggybacked on
-/// the heartbeat cadence like kStatsReport: an incremental drain of the
+/// The trace half of a site's telemetry frame: an incremental drain of the
 /// site's per-thread TraceRings. `first_seq` is the site-local sequence
 /// number of events[0]; the cursor is monotone, so the coordinator can
 /// account for events lost to ring overwrite (gaps) without any
-/// retransmission — chunks are loss-tolerant by construction.
+/// retransmission — drains are loss-tolerant by construction. Empty when
+/// the site ships no traces or had nothing new to drain.
 struct TraceChunk {
-  int32_t site = -1;
   uint64_t first_seq = 0;
   std::vector<TraceEvent> events;
 };
@@ -137,10 +135,9 @@ inline bool operator==(const EventBatch& a, const EventBatch& b) {
   return a.num_events == b.num_events && a.values == b.values;
 }
 inline bool operator==(const SiteStatsReport& a, const SiteStatsReport& b) {
-  return a.site == b.site && a.events_processed == b.events_processed &&
+  return a.events_processed == b.events_processed &&
          a.updates_sent == b.updates_sent && a.syncs_sent == b.syncs_sent &&
-         a.rounds_seen == b.rounds_seen &&
-         a.heartbeats_sent == b.heartbeats_sent;
+         a.rounds_seen == b.rounds_seen;
 }
 inline bool operator==(const HeartbeatTimestamps& a,
                        const HeartbeatTimestamps& b) {
@@ -148,8 +145,7 @@ inline bool operator==(const HeartbeatTimestamps& a,
          a.echo_recv_nanos == b.echo_recv_nanos;
 }
 inline bool operator==(const TraceChunk& a, const TraceChunk& b) {
-  if (a.site != b.site || a.first_seq != b.first_seq ||
-      a.events.size() != b.events.size()) {
+  if (a.first_seq != b.first_seq || a.events.size() != b.events.size()) {
     return false;
   }
   for (size_t i = 0; i < a.events.size(); ++i) {

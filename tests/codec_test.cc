@@ -130,26 +130,33 @@ TEST(CodecTest, HelloRoundTripsForeignProtocolVersions) {
 }
 
 TEST(CodecTest, HeartbeatRoundTrip) {
-  for (int32_t site : {0, 1, 511, std::numeric_limits<int32_t>::max(), -1}) {
-    const Frame decoded = DecodeOrDie(Encode(MakeHeartbeat(site)));
+  // The clock samples round-trip at their extremes; an echo sets only its
+  // send time, so its stats and trace drain decode empty.
+  for (int64_t nanos : {int64_t{0}, int64_t{1}, int64_t{-1},
+                        std::numeric_limits<int64_t>::max(),
+                        std::numeric_limits<int64_t>::min()}) {
+    HeartbeatTimestamps hb;
+    hb.send_nanos = nanos;
+    hb.echo_nanos = nanos / -2;
+    hb.echo_recv_nanos = nanos / 3;
+    const Frame decoded = DecodeOrDie(Encode(MakeHeartbeat(hb)));
     EXPECT_EQ(decoded.type, FrameType::kHeartbeat);
-    EXPECT_EQ(decoded.site, site);
+    EXPECT_TRUE(decoded.hb == hb);
+    EXPECT_TRUE(decoded.stats == SiteStatsReport{});
+    EXPECT_TRUE(decoded.trace == TraceChunk{});
   }
+  // An echo is eleven bytes of payload: the tag, one two-byte clock sample
+  // and eight one-byte zero fields.
+  HeartbeatTimestamps echo;
+  echo.send_nanos = 100;
+  EXPECT_EQ(Encode(MakeHeartbeat(echo)).size(), 4u + 1u + 2u + 8u);
 }
 
 TEST(CodecTest, TruncatedHeartbeatFails) {
-  // A bare kHeartbeat tag with no site id must fail, not read past the end.
+  // A bare kHeartbeat tag with no clock samples must fail, not read past
+  // the end.
   const std::vector<uint8_t> payload = {
       static_cast<uint8_t>(FrameType::kHeartbeat)};
-  Frame frame;
-  EXPECT_FALSE(DecodeFramePayload(payload.data(), payload.size(), &frame).ok());
-}
-
-TEST(CodecTest, ForgedHeartbeatWithHugeSiteIdFails) {
-  // site ids beyond int32 are rejected by the decoder (consumers also
-  // ignore heartbeat site ids entirely, but the codec is the first gate).
-  std::vector<uint8_t> payload = {static_cast<uint8_t>(FrameType::kHeartbeat)};
-  AppendVarint(ZigzagEncode(int64_t{1} << 40), &payload);
   Frame frame;
   EXPECT_FALSE(DecodeFramePayload(payload.data(), payload.size(), &frame).ok());
 }
@@ -414,9 +421,10 @@ TEST(CodecTest, OversizedLengthPrefixRejectedBeforeAllocation) {
 }
 
 TEST(CodecTest, BadFrameTypeTagFails) {
-  // 0 and tags above kTraceChunk are invalid.
-  for (uint8_t tag : {uint8_t{0}, uint8_t{9}, uint8_t{10}, uint8_t{99},
-                      uint8_t{255}}) {
+  // 0 and tags above kHeartbeat are invalid, v7's stats report (7) and
+  // trace chunk (8) included.
+  for (uint8_t tag : {uint8_t{0}, uint8_t{7}, uint8_t{8}, uint8_t{9},
+                      uint8_t{10}, uint8_t{99}, uint8_t{255}}) {
     const std::vector<uint8_t> payload = {tag};
     Frame frame;
     EXPECT_FALSE(DecodeFramePayload(payload.data(), payload.size(), &frame).ok());
@@ -761,7 +769,7 @@ TEST(CompressEnvelopeTest, GarbageLzBlockNeverCrashes) {
 // --- Hellos of other versions. ------------------------------------------
 
 TEST(CompressCapsTest, V4HelloOmitsTheCapsVarintByteExactly) {
-  // A v4 hello has no caps varint, and neither has v7's: the two differ in
+  // A v4 hello has no caps varint, and neither has v8's: the two differ in
   // the version byte alone. The decoder reads the v4 shape byte-exactly, so
   // the conformance layer can report the peer's version mismatch instead of
   // a decode error.

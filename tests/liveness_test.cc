@@ -4,8 +4,8 @@
 // (EOF) — and the run must fail with an UNAVAILABLE status naming the site
 // instead of stalling (the regression this subsystem exists to kill), with
 // healthy runs unaffected. Also covers heartbeat robustness: a connection
-// whose only traffic is (forged-id) heartbeats stays alive exactly until
-// it stops sending them.
+// whose only traffic is heartbeats stays alive exactly until it stops
+// sending them.
 
 #include <gtest/gtest.h>
 
@@ -56,11 +56,11 @@ class FakeSite {
   std::thread thread_;
 };
 
-void SendHeartbeats(TcpSocket* socket, int site_id, int count, int interval_ms) {
+void SendHeartbeats(TcpSocket* socket, int count, int interval_ms) {
   for (int i = 0; i < count; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
     std::vector<uint8_t> beat;
-    AppendFrame(MakeHeartbeat(site_id), &beat);
+    AppendFrame(MakeHeartbeat({}), &beat);
     if (!socket->SendAll(beat.data(), beat.size()).ok()) return;
   }
 }
@@ -146,7 +146,7 @@ TEST(LivenessTest, SiteHangupMidRunFailsFastWithUnavailable) {
     // Site 0 stays alive (heartbeating) for the whole test; site 1 hangs
     // up shortly after the handshake — a crashed process, kernel-closed.
     healthy = std::make_unique<FakeSite>(port, 0, [](TcpSocket* socket) {
-      SendHeartbeats(socket, 0, /*count=*/40, /*interval_ms=*/50);
+      SendHeartbeats(socket, /*count=*/40, /*interval_ms=*/50);
     });
     doomed = std::make_unique<FakeSite>(port, 1, [](TcpSocket* socket) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -170,20 +170,19 @@ TEST(LivenessTest, SiteHangupMidRunFailsFastWithUnavailable) {
   doomed->join();
 }
 
-TEST(LivenessTest, HeartbeatsAloneKeepASiteAliveEvenWithForgedId) {
+TEST(LivenessTest, HeartbeatsAloneKeepASiteAlive) {
   const BayesianNetwork net = StudentNetwork();
-  const std::string port_file = TempPortFile("forged");
+  const std::string port_file = TempPortFile("beats");
 
   std::unique_ptr<FakeSite> site;
   std::thread connector([&site, &port_file] {
     const int port = ReadPortFile(port_file);
     ASSERT_GT(port, 0);
-    // Heartbeats with a nonsense site id for ~4 liveness timeouts, then
-    // silence. Liveness is per-connection: the forged id must neither
-    // corrupt protocol state nor extend any OTHER site's deadline — and
-    // must keep THIS connection alive while the beats flow.
+    // Heartbeats for ~4 liveness timeouts, then silence. Liveness is
+    // per-connection: the beats must keep THIS connection alive while they
+    // flow, and nothing once they stop.
     site = std::make_unique<FakeSite>(port, 0, [](TcpSocket* socket) {
-      SendHeartbeats(socket, /*site_id=*/987654, /*count=*/16,
+      SendHeartbeats(socket, /*count=*/16,
                      /*interval_ms=*/kLivenessTimeoutMs / 4);
       uint8_t unused = 0;
       (void)socket->RecvAll(&unused, 1);

@@ -1,8 +1,8 @@
 // Tests for the observability layer (common/metrics.h): registry and
 // histogram semantics, the multi-writer lock-free contract (this suite is
 // in the TSan CI regex — 8 writers + a concurrent snapshotting reader must
-// be race-free), trace-ring overflow, the kStatsReport wire frame
-// (round-trip, truncation, forged-site-id rejection at the reactor), and
+// be race-free), trace-ring overflow, the stats in the telemetry frame
+// (round-trip, truncation, attribution by connection at the reactor), and
 // an end-to-end kLocalTcp run whose coordinator health table must converge
 // on the sites' true totals.
 
@@ -285,23 +285,25 @@ TEST(TraceRingTest, MergedTimelineSplicesThreadsTimeSorted) {
   EXPECT_FALSE(FormatTraceTimeline(timeline).empty());
 }
 
-// --- kStatsReport wire frame -----------------------------------------------
+// --- Stats in the telemetry frame -------------------------------------------
 
-SiteStatsReport DistinctiveStats() {
+Frame DistinctiveTelemetry() {
+  HeartbeatTimestamps hb;
+  hb.send_nanos = 1'700'000'000'123'456'789;
+  hb.echo_nanos = -3;
+  hb.echo_recv_nanos = 1'700'000'000'000'000'000;
   SiteStatsReport stats;
-  stats.site = 3;
   stats.events_processed = 123456789012345;
   stats.updates_sent = 987654321;
   stats.syncs_sent = 4242;
-  stats.rounds_seen = 17;
-  stats.heartbeats_sent = ~uint64_t{0} - 5;  // varint-coded 64-bit extreme
-  return stats;
+  stats.rounds_seen = ~uint64_t{0} - 5;  // varint-coded 64-bit extreme
+  return MakeHeartbeat(hb, stats);
 }
 
-TEST(StatsReportCodecTest, RoundTripsEveryField) {
-  const SiteStatsReport stats = DistinctiveStats();
+TEST(TelemetryCodecTest, StatsRoundTripEveryField) {
+  const Frame telemetry = DistinctiveTelemetry();
   std::vector<uint8_t> buffer;
-  AppendFrame(MakeStatsReport(stats), &buffer);
+  AppendFrame(telemetry, &buffer);
 
   Frame decoded;
   size_t consumed = 0;
@@ -309,13 +311,25 @@ TEST(StatsReportCodecTest, RoundTripsEveryField) {
       DecodeFrame(buffer.data(), buffer.size(), &decoded, &consumed);
   ASSERT_TRUE(status.ok()) << status;
   EXPECT_EQ(consumed, buffer.size());
-  EXPECT_EQ(decoded.type, FrameType::kStatsReport);
-  EXPECT_EQ(decoded.stats, stats);
+  EXPECT_EQ(decoded.type, FrameType::kHeartbeat);
+  EXPECT_EQ(decoded.hb, telemetry.hb);
+  EXPECT_EQ(decoded.stats, telemetry.stats);
 }
 
-TEST(StatsReportCodecTest, TruncationAtEveryPrefixFailsCleanly) {
+TEST(TelemetryCodecTest, NegativeEventCountRejected) {
+  SiteStatsReport stats;
+  stats.events_processed = -1;
   std::vector<uint8_t> buffer;
-  AppendFrame(MakeStatsReport(DistinctiveStats()), &buffer);
+  AppendFrame(MakeHeartbeat({}, stats), &buffer);
+  Frame decoded;
+  size_t consumed = 0;
+  EXPECT_FALSE(
+      DecodeFrame(buffer.data(), buffer.size(), &decoded, &consumed).ok());
+}
+
+TEST(TelemetryCodecTest, StatsTruncationAtEveryPrefixFailsCleanly) {
+  std::vector<uint8_t> buffer;
+  AppendFrame(DistinctiveTelemetry(), &buffer);
   for (size_t size = 0; size < buffer.size(); ++size) {
     Frame decoded;
     size_t consumed = 0;
@@ -324,9 +338,9 @@ TEST(StatsReportCodecTest, TruncationAtEveryPrefixFailsCleanly) {
   }
 }
 
-TEST(StatsReportCodecTest, TrailingBytesRejected) {
+TEST(TelemetryCodecTest, TrailingBytesRejected) {
   std::vector<uint8_t> buffer;
-  AppendFrame(MakeStatsReport(DistinctiveStats()), &buffer);
+  AppendFrame(DistinctiveTelemetry(), &buffer);
   // The payload follows the 4-byte length prefix; pad it and decode the
   // padded payload directly — exact consumption is part of the contract.
   std::vector<uint8_t> payload(buffer.begin() + 4, buffer.end());
@@ -357,7 +371,7 @@ TEST(MetricsClusterTest, LocalTcpHealthTableConvergesOnTrueTotals) {
           .WithEpsilon(0.05)
           .WithSites(kSites)
           .WithSeed(11)
-          .WithHeartbeatInterval(10)  // stats reports ride the heartbeats
+          .WithHeartbeatInterval(10)  // stats ride the heartbeats
           .Build();
   ASSERT_TRUE(session.ok()) << session.status();
   ASSERT_TRUE((*session)->StreamGroundTruth(kEvents).ok());
@@ -394,8 +408,7 @@ TEST(MetricsClusterTest, LocalTcpHealthTableConvergesOnTrueTotals) {
     syncs_total += site.syncs_sent;
   }
   EXPECT_GT(syncs_total, 0u);
-  EXPECT_GT(CounterValueOrZero(live, "net.reactor.stats_reports_rx"), 0);
-  EXPECT_EQ(CounterValueOrZero(live, "net.reactor.forged_stats_dropped"), 0);
+  EXPECT_GT(CounterValueOrZero(live, "net.reactor.heartbeats_rx"), 0);
 
   StatusOr<RunReport> report = (*session)->Finish();
   ASSERT_TRUE(report.ok()) << report.status();
@@ -408,7 +421,7 @@ TEST(MetricsClusterTest, LocalTcpHealthTableConvergesOnTrueTotals) {
   EXPECT_GT(loop->stats.p99, 0u);
 }
 
-/// A fake external site for the forged-id test: handshakes as `hello_id`,
+/// A fake external site for the attribution test: handshakes as `hello_id`,
 /// then runs `behavior` on the raw socket (same harness as liveness_test).
 class FakeSite {
  public:
@@ -449,54 +462,33 @@ int ReadPortFile(const std::string& path) {
   return 0;
 }
 
-TEST(MetricsClusterTest, ForgedStatsReportIsDroppedNeverIndexed) {
-  // Site 0's connection sends a truthful stats report, then one CLAIMING to
-  // be site 1 (valid range, wrong connection) with a poisoned event count.
-  // The truthful one must land on site 0's row; the forged frame is a
-  // protocol violation at the spec layer (the conformance machine is bound
-  // to the connection's hello id) — it must bump the drop counter, kill the
-  // connection, and leave site 1's health row untouched.
+TEST(MetricsClusterTest, TelemetryLandsOnItsConnectionsRow) {
+  // Two fake sites send telemetry with distinct stats. The frame names no
+  // site: each one's stats must land on the row of the connection whose
+  // hello named that site, and on no other row.
   const BayesianNetwork net = StudentNetwork();
-  const std::string port_file = TempPortFile("forged");
-  std::unique_ptr<FakeSite> site0;
-  std::unique_ptr<FakeSite> site1;
+  const std::string port_file = TempPortFile("rows");
+  std::unique_ptr<FakeSite> sites[2];
   std::atomic<bool> stop{false};
-  std::thread connector([&site0, &site1, &stop, &port_file] {
+  std::thread connector([&sites, &stop, &port_file] {
     const int port = ReadPortFile(port_file);
     ASSERT_GT(port, 0);
-    site0 = std::make_unique<FakeSite>(port, 0, [&stop](TcpSocket* socket) {
-      SiteStatsReport honest;
-      honest.site = 0;
-      honest.events_processed = 4242;
-      honest.syncs_sent = 7;
-      SiteStatsReport forged;
-      forged.site = 1;
-      forged.events_processed = 999999;
-      std::vector<uint8_t> frames;
-      AppendFrame(MakeStatsReport(honest), &frames);
-      AppendFrame(MakeStatsReport(forged), &frames);
-      if (!socket->SendAll(frames.data(), frames.size()).ok()) return;
-      while (!stop.load(std::memory_order_acquire)) {
-        std::vector<uint8_t> beat;
-        AppendFrame(MakeHeartbeat(0), &beat);
-        if (!socket->SendAll(beat.data(), beat.size()).ok()) return;
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      }
-    });
-    site1 = std::make_unique<FakeSite>(port, 1, [&stop](TcpSocket* socket) {
-      while (!stop.load(std::memory_order_acquire)) {
-        std::vector<uint8_t> beat;
-        AppendFrame(MakeHeartbeat(1), &beat);
-        if (!socket->SendAll(beat.data(), beat.size()).ok()) return;
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      }
-    });
+    for (int id : {0, 1}) {
+      SiteStatsReport stats;
+      stats.events_processed = id == 0 ? 4242 : 31;
+      stats.syncs_sent = id == 0 ? 7 : 2;
+      sites[id] = std::make_unique<FakeSite>(
+          port, id, [&stop, stats](TcpSocket* socket) {
+            std::vector<uint8_t> frame;
+            AppendFrame(MakeHeartbeat({}, stats), &frame);
+            while (!stop.load(std::memory_order_acquire)) {
+              if (!socket->SendAll(frame.data(), frame.size()).ok()) return;
+              std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            }
+          });
+    }
   });
 
-  const int64_t dropped_before = static_cast<int64_t>(
-      MetricsRegistry::Global()
-          .GetCounter("net.reactor.forged_stats_dropped")
-          ->Value());
   StatusOr<std::unique_ptr<Session>> session =
       SessionBuilder(net)
           .WithBackend(Backend::kLocalTcp)
@@ -517,23 +509,22 @@ TEST(MetricsClusterTest, ForgedStatsReportIsDroppedNeverIndexed) {
   bool settled = false;
   while (std::chrono::steady_clock::now() < deadline && !settled) {
     live = (*session)->Metrics();
-    const int64_t dropped =
-        CounterValueOrZero(live, "net.reactor.forged_stats_dropped");
-    settled = dropped > dropped_before && live.sites.size() == 2 &&
-              live.sites[0].events_processed == 4242;
+    settled = live.sites.size() == 2 && live.sites[0].stats_reports > 0 &&
+              live.sites[1].stats_reports > 0;
     if (!settled) std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  ASSERT_TRUE(settled) << "forged report never observed as dropped";
-  // The truthful report landed; the forged one indexed nothing.
+  ASSERT_TRUE(settled) << "telemetry never reached both rows";
   EXPECT_EQ(live.sites[0].events_processed, 4242);
   EXPECT_EQ(live.sites[0].syncs_sent, 7u);
-  EXPECT_EQ(live.sites[1].events_processed, 0);
-  EXPECT_EQ(live.sites[1].stats_reports, 0u);
+  EXPECT_EQ(live.sites[1].events_processed, 31);
+  EXPECT_EQ(live.sites[1].syncs_sent, 2u);
+  EXPECT_TRUE(live.sites[0].alive);
+  EXPECT_TRUE(live.sites[1].alive);
 
   stop.store(true, std::memory_order_release);
   session->reset();  // closes the connections, releasing the fake sites
-  site0.reset();
-  site1.reset();
+  sites[0].reset();
+  sites[1].reset();
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
 // Model-checks the protocol conformance table of net/protocol_spec.h by
 // exhaustive enumeration: the state space is tiny (4 states x 2 directions
-// x 10 inputs = 80 cells), so instead of sampling behaviors we iterate all
+// x 8 inputs = 64 cells), so instead of sampling behaviors we iterate all
 // of them and prove the contract's load-bearing properties — totality,
 // hello-before-anything, nothing-after-close, directional ownership, and
 // reachability of every state. Below that, unit tests drive the
-// ProtocolConformance validator (including the payload site binding and
-// the version check) and the
+// ProtocolConformance validator (including the version check) and the
 // ProtocolStreamChecker through legal and adversarial sequences.
 
 #include "net/protocol_spec.h"
@@ -46,20 +45,28 @@ TEST(ProtocolSpecTable, EveryTripleHasADefinedVerdict) {
       }
     }
   }
-  EXPECT_EQ(cells, 4 * 2 * 10);
+  EXPECT_EQ(cells, 4 * 2 * 8);
 }
 
 TEST(ProtocolSpecTable, HelloBeforeAnything) {
+  // Only a site sends a hello: a coordinator's machine takes it first and
+  // nothing before it. A site's machine starts kActive, so its
+  // kAwaitingHello row accepts nothing at all.
+  EXPECT_EQ(InitialProtocolState(ProtocolDirection::kSiteToCoordinator),
+            ProtocolState::kAwaitingHello);
+  EXPECT_EQ(InitialProtocolState(ProtocolDirection::kCoordinatorToSite),
+            ProtocolState::kActive);
   for (ProtocolDirection direction : kAllProtocolDirections) {
     for (WireInput input : kAllWireInputs) {
       const FrameRule& rule =
           LookupRule(ProtocolState::kAwaitingHello, direction, input);
-      if (input == WireInput::kInHello) {
+      if (direction == ProtocolDirection::kSiteToCoordinator &&
+          input == WireInput::kInHello) {
         EXPECT_EQ(rule.verdict, ProtocolVerdict::kAccept);
         EXPECT_EQ(rule.next, ProtocolState::kActive);
       } else {
         EXPECT_EQ(rule.verdict, ProtocolVerdict::kViolation)
-            << WireInputName(input) << " must not precede the hello ("
+            << WireInputName(input) << " accepted awaiting a hello ("
             << ProtocolDirectionName(direction) << ")";
       }
     }
@@ -76,18 +83,20 @@ TEST(ProtocolSpecTable, NothingAfterClose) {
           << WireInputName(input) << " accepted in the terminal state";
     }
   }
-  // After the site's terminal update-lane close only heartbeats may
-  // follow: stats reports and trace chunks are data.
-  for (WireInput input :
-       {WireInput::kInStatsReport, WireInput::kInTraceChunk}) {
-    EXPECT_EQ(LookupRule(ProtocolState::kDraining, kS2C, input).verdict,
-              ProtocolVerdict::kViolation)
-        << WireInputName(input) << " after the update-lane close";
+  // After the site's terminal update-lane close only telemetry may follow:
+  // the site lingers for the coordinator's hangup, and its heartbeat, stats
+  // and trace drain are one frame.
+  for (WireInput input : kAllWireInputs) {
+    const FrameRule& rule =
+        LookupRule(ProtocolState::kDraining, kS2C, input);
+    if (input == WireInput::kInHeartbeat) {
+      EXPECT_EQ(rule.verdict, ProtocolVerdict::kAccept);
+      EXPECT_EQ(rule.next, ProtocolState::kDraining);
+    } else {
+      EXPECT_EQ(rule.verdict, ProtocolVerdict::kViolation)
+          << WireInputName(input) << " after the update-lane close";
+    }
   }
-  EXPECT_EQ(
-      LookupRule(ProtocolState::kDraining, kS2C, WireInput::kInHeartbeat)
-          .verdict,
-      ProtocolVerdict::kAccept);
   // After the coordinator's command-lane close, event stragglers and
   // heartbeat echoes stay legal.
   for (WireInput input : {WireInput::kInEventBatch, WireInput::kInHeartbeat}) {
@@ -124,10 +133,10 @@ TEST(ProtocolSpecTable, CoordinatorNeverSendsACompressionEnvelope) {
 }
 
 TEST(ProtocolSpecTable, ExactlyOneHelloEver) {
-  // A hello is legal in kAwaitingHello (checked above) and nowhere else, in
-  // either direction. Transports build a site's machine kActive (its own
-  // hello is the whole handshake), so a hello from the coordinator is a
-  // violation at every point of a real connection.
+  // A hello is legal in a coordinator's kAwaitingHello (checked above) and
+  // nowhere else. A site's machine starts kActive (its own hello is the
+  // whole handshake), so a hello from the coordinator is a violation at
+  // every point of a real connection.
   for (ProtocolState state :
        {ProtocolState::kActive, ProtocolState::kDraining,
         ProtocolState::kClosed}) {
@@ -149,9 +158,8 @@ TEST(ProtocolSpecTable, DirectionalOwnership) {
   const WireInput never_from_site[] = {
       WireInput::kInRoundAdvance, WireInput::kInEventBatch,
       WireInput::kInCloseCommands, WireInput::kInCloseEvents};
-  const WireInput never_from_coordinator[] = {
-      WireInput::kInUpdateBundle, WireInput::kInCloseUpdates,
-      WireInput::kInStatsReport, WireInput::kInTraceChunk};
+  const WireInput never_from_coordinator[] = {WireInput::kInUpdateBundle,
+                                             WireInput::kInCloseUpdates};
   for (ProtocolState state : kAllProtocolStates) {
     for (WireInput input : never_from_site) {
       EXPECT_EQ(LookupRule(state, kS2C, input).verdict,
@@ -178,7 +186,7 @@ TEST(ProtocolSpecTable, OutOfRangeVersionsRejectEverything) {
         uint8_t{255}}) {
     for (ProtocolDirection direction : kAllProtocolDirections) {
       for (ProtocolState initial :
-           {ProtocolState::kAwaitingHello, ProtocolState::kActive}) {
+           {InitialProtocolState(direction), ProtocolState::kActive}) {
         SCOPED_TRACE(::testing::Message()
                      << "hello v" << int(version) << " "
                      << ProtocolDirectionName(direction) << " in "
@@ -199,11 +207,13 @@ TEST(ProtocolSpecTable, OutOfRangeVersionsRejectEverything) {
 }
 
 TEST(ProtocolSpecTable, NoUnreachableStates) {
-  // Fixed-point reachability from kAwaitingHello per direction: accept
+  // Fixed-point reachability from each direction's initial state: accept
   // edges plus the implicit violation edge to kClosed. Every state must be
-  // reachable — an unreachable state would be dead spec.
+  // reachable — an unreachable state would be dead spec — except
+  // kAwaitingHello on a site's machine, which starts kActive because the
+  // coordinator sends no hello.
   for (ProtocolDirection direction : kAllProtocolDirections) {
-    std::set<ProtocolState> reached = {ProtocolState::kAwaitingHello};
+    std::set<ProtocolState> reached = {InitialProtocolState(direction)};
     bool grew = true;
     while (grew) {
       grew = false;
@@ -215,8 +225,12 @@ TEST(ProtocolSpecTable, NoUnreachableStates) {
         }
       }
     }
-    EXPECT_EQ(reached.size(), kNumProtocolStates)
+    const bool hello_state =
+        direction == ProtocolDirection::kSiteToCoordinator;
+    EXPECT_EQ(reached.size(), kNumProtocolStates - (hello_state ? 0 : 1))
         << ProtocolDirectionName(direction) << " leaves states unreachable";
+    EXPECT_EQ(reached.count(ProtocolState::kAwaitingHello) == 1, hello_state)
+        << ProtocolDirectionName(direction);
     // And specifically: the happy path reaches Draining via an ACCEPT, not
     // just via violations.
     const WireInput terminal_close =
@@ -241,11 +255,7 @@ TEST(ProtocolSpecTable, WireInputOfCoversEveryFrameKind) {
   EXPECT_EQ(WireInputOf(MakeChannelClose(FrameType::kEventBatch)),
             WireInput::kInCloseEvents);
   EXPECT_EQ(WireInputOf(MakeHello(0)), WireInput::kInHello);
-  EXPECT_EQ(WireInputOf(MakeHeartbeat(0)), WireInput::kInHeartbeat);
-  EXPECT_EQ(WireInputOf(MakeStatsReport(SiteStatsReport{})),
-            WireInput::kInStatsReport);
-  EXPECT_EQ(WireInputOf(MakeTraceChunk(TraceChunk{})),
-            WireInput::kInTraceChunk);
+  EXPECT_EQ(WireInputOf(MakeHeartbeat({})), WireInput::kInHeartbeat);
 }
 
 // --- ProtocolConformance --------------------------------------------------
@@ -257,22 +267,20 @@ TEST(ProtocolConformanceTest, HappyPathSiteToCoordinator) {
 
   EXPECT_EQ(conformance.OnFrame(MakeHello(2)), ProtocolVerdict::kAccept);
   EXPECT_EQ(conformance.state(), ProtocolState::kActive);
-  EXPECT_EQ(conformance.bound_site(), 2);  // Auto-bound by the hello.
   EXPECT_EQ(conformance.OnFrame(MakeFrame(UpdateBundle{})),
             ProtocolVerdict::kAccept);
-  EXPECT_EQ(conformance.OnFrame(MakeHeartbeat(2)), ProtocolVerdict::kAccept);
   SiteStatsReport stats;
-  stats.site = 2;
-  EXPECT_EQ(conformance.OnFrame(MakeStatsReport(stats)),
-            ProtocolVerdict::kAccept);
+  stats.events_processed = 9;
   TraceChunk chunk;
-  chunk.site = 2;
-  EXPECT_EQ(conformance.OnFrame(MakeTraceChunk(chunk)),
+  chunk.events.push_back(TraceEvent{1, TraceEventType::kHeartbeat, 2, 1});
+  EXPECT_EQ(conformance.OnFrame(MakeHeartbeat({}, stats, chunk)),
             ProtocolVerdict::kAccept);
   EXPECT_EQ(conformance.OnFrame(MakeChannelClose(FrameType::kUpdateBundle)),
             ProtocolVerdict::kAccept);
   EXPECT_EQ(conformance.state(), ProtocolState::kDraining);
-  EXPECT_EQ(conformance.OnFrame(MakeHeartbeat(2)), ProtocolVerdict::kAccept);
+  // Telemetry keeps flowing while the site lingers.
+  EXPECT_EQ(conformance.OnFrame(MakeHeartbeat({}, stats, chunk)),
+            ProtocolVerdict::kAccept);
   EXPECT_EQ(conformance.violations(), 0u);
   EXPECT_EQ(MetricsRegistry::Global()
                 .GetCounter(kProtocolViolationsMetric)
@@ -280,13 +288,13 @@ TEST(ProtocolConformanceTest, HappyPathSiteToCoordinator) {
             0u);
 }
 
-TEST(ProtocolConformanceTest, StatsAfterCloseIsAViolation) {
+TEST(ProtocolConformanceTest, UpdateAfterCloseIsAViolation) {
   MetricsRegistry::Global().ResetForTest();
   ProtocolConformance conformance(ProtocolDirection::kSiteToCoordinator);
   ASSERT_EQ(conformance.OnFrame(MakeHello(0)), ProtocolVerdict::kAccept);
   ASSERT_EQ(conformance.OnFrame(MakeChannelClose(FrameType::kUpdateBundle)),
             ProtocolVerdict::kAccept);
-  EXPECT_EQ(conformance.OnFrame(MakeStatsReport(SiteStatsReport{})),
+  EXPECT_EQ(conformance.OnFrame(MakeFrame(UpdateBundle{})),
             ProtocolVerdict::kViolation);
   EXPECT_EQ(conformance.state(), ProtocolState::kClosed);
   EXPECT_EQ(conformance.violations(), 1u);
@@ -320,8 +328,8 @@ TEST(ProtocolConformanceTest, VersionMismatchIsDistinctButCounted) {
 
 TEST(ProtocolConformanceTest, SiteConnectionStartsActiveAndDrains) {
   // The site's machine starts kActive: its own hello was the handshake.
-  ProtocolConformance conformance(ProtocolDirection::kCoordinatorToSite,
-                                  ProtocolState::kActive);
+  ProtocolConformance conformance(ProtocolDirection::kCoordinatorToSite);
+  EXPECT_EQ(conformance.state(), ProtocolState::kActive);
   EXPECT_EQ(conformance.OnFrame(MakeFrame(EventBatch{})),
             ProtocolVerdict::kAccept);
   EXPECT_EQ(conformance.OnFrame(MakeFrame(RoundAdvance{})),
@@ -354,58 +362,6 @@ TEST(ProtocolConformanceTest, MalformedFrameIsTerminal) {
             2u);
 }
 
-TEST(ProtocolConformanceTest, ForgedStatsSiteIsAViolation) {
-  MetricsRegistry::Global().ResetForTest();
-  ProtocolConformance conformance(ProtocolDirection::kSiteToCoordinator);
-  ASSERT_EQ(conformance.OnFrame(MakeHello(2)), ProtocolVerdict::kAccept);
-  SiteStatsReport honest;
-  honest.site = 2;
-  ASSERT_EQ(conformance.OnFrame(MakeStatsReport(honest)),
-            ProtocolVerdict::kAccept);
-  // A report claiming another site's identity is a terminal violation —
-  // the payload's site id is part of the contract, not advisory.
-  SiteStatsReport forged;
-  forged.site = 5;
-  EXPECT_EQ(conformance.OnFrame(MakeStatsReport(forged)),
-            ProtocolVerdict::kViolation);
-  EXPECT_EQ(conformance.state(), ProtocolState::kClosed);
-  EXPECT_EQ(conformance.violations(), 1u);
-}
-
-TEST(ProtocolConformanceTest, ForgedTraceChunkSiteIsAViolation) {
-  ProtocolConformance conformance(ProtocolDirection::kSiteToCoordinator);
-  ASSERT_EQ(conformance.OnFrame(MakeHello(3)), ProtocolVerdict::kAccept);
-  TraceChunk forged;
-  forged.site = 0;
-  EXPECT_EQ(conformance.OnFrame(MakeTraceChunk(forged)),
-            ProtocolVerdict::kViolation);
-  EXPECT_EQ(conformance.state(), ProtocolState::kClosed);
-}
-
-TEST(ProtocolConformanceTest, BindSiteIdArmsConnectionsConstructedActive) {
-  // Connections that skip OnFrame's hello (the reactor transport does its
-  // handshake in the accept loop, then constructs kActive) bind explicitly.
-  ProtocolConformance conformance(ProtocolDirection::kSiteToCoordinator,
-                                  ProtocolState::kActive);
-  EXPECT_EQ(conformance.bound_site(), -1);
-  conformance.BindSiteId(4);
-  EXPECT_EQ(conformance.bound_site(), 4);
-  SiteStatsReport forged;
-  forged.site = 2;
-  EXPECT_EQ(conformance.OnFrame(MakeStatsReport(forged)),
-            ProtocolVerdict::kViolation);
-}
-
-TEST(ProtocolConformanceTest, UnboundConnectionSkipsThePayloadSiteCheck) {
-  ProtocolConformance conformance(ProtocolDirection::kSiteToCoordinator,
-                                  ProtocolState::kActive);
-  SiteStatsReport stats;
-  stats.site = 7;  // Any site id passes while nothing is bound.
-  EXPECT_EQ(conformance.OnFrame(MakeStatsReport(stats)),
-            ProtocolVerdict::kAccept);
-  EXPECT_EQ(conformance.violations(), 0u);
-}
-
 TEST(ProtocolConformanceTest, MarkClosedIsNotAViolation) {
   ProtocolConformance conformance(ProtocolDirection::kSiteToCoordinator,
                                   ProtocolState::kActive);
@@ -413,7 +369,8 @@ TEST(ProtocolConformanceTest, MarkClosedIsNotAViolation) {
   EXPECT_EQ(conformance.state(), ProtocolState::kClosed);
   EXPECT_EQ(conformance.violations(), 0u);
   // But traffic after an orderly close still violates.
-  EXPECT_EQ(conformance.OnFrame(MakeHeartbeat(0)), ProtocolVerdict::kViolation);
+  EXPECT_EQ(conformance.OnFrame(MakeHeartbeat({})),
+            ProtocolVerdict::kViolation);
   EXPECT_EQ(conformance.violations(), 1u);
 }
 
@@ -521,15 +478,14 @@ TEST(ProtocolStreamCheckerTest, AcceptsALegalSiteStream) {
   bundle.round = 3;
   bundle.reports.push_back({7, 42});
   SiteStatsReport stats;
-  stats.site = 1;  // Must match the hello: the checker binds the site id.
+  stats.events_processed = 64;
   TraceChunk chunk;
-  chunk.site = 1;
   chunk.events.push_back(
       TraceEvent{/*t_nanos=*/123, TraceEventType::kHeartbeat, 1, 0});
   const std::vector<uint8_t> bytes = EncodeStream(
-      {MakeHello(1), MakeFrame(bundle), MakeHeartbeat(1),
-       MakeStatsReport(stats), MakeTraceChunk(chunk),
-       MakeChannelClose(FrameType::kUpdateBundle), MakeHeartbeat(1)});
+      {MakeHello(1), MakeFrame(bundle), MakeHeartbeat({}),
+       MakeHeartbeat({}, stats), MakeHeartbeat({}, stats, chunk),
+       MakeChannelClose(FrameType::kUpdateBundle), MakeHeartbeat({})});
 
   ProtocolStreamChecker checker(ProtocolDirection::kSiteToCoordinator);
   // Feed byte-by-byte: frame boundaries must not matter.

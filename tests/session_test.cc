@@ -14,6 +14,9 @@
 #include <vector>
 
 #include "bayes/repository.h"
+#include "bayes/sampler.h"
+#include "core/classifier.h"
+#include "core/mle_tracker.h"
 #include "dsgm/dsgm.h"
 #include "net/codec.h"
 
@@ -374,6 +377,61 @@ TEST(SessionTest, InProcessViewMatchesDirectTrackerQueries) {
   pa.nodes = {0, 1, 2};
   pa.values = {0, 1, 0};
   EXPECT_NEAR(view->JointProbability(pa), net.ClosedSubsetProbability(pa), 0.02);
+}
+
+TEST(SessionTest, LaplaceViewAndPredictMatchAStandaloneTracker) {
+  // The public query path end to end: a Laplace-smoothed exact-MLE session
+  // and a standalone MleTracker fed the same events must agree on every CPD
+  // entry, and Predict(view, ...) must agree with PredictWithTracker. A
+  // short ALARM stream leaves most parent rows unobserved, so smoothing
+  // decides many of those entries.
+  const BayesianNetwork net = Alarm();
+  TrackerConfig config;
+  config.strategy = TrackingStrategy::kExactMle;
+  config.num_sites = 3;
+  config.seed = 17;
+  config.laplace_alpha = 1.0;
+  SessionBuilder builder(net);
+  builder.WithBackend(Backend::kInProcess).WithTracker(config);
+  StatusOr<std::unique_ptr<Session>> session = builder.Build();
+  ASSERT_TRUE(session.ok()) << session.status();
+  MleTracker tracker(net, config);
+
+  ForwardSampler sampler(net, /*seed=*/123);
+  const std::vector<Instance> events = sampler.SampleMany(2000);
+  for (const Instance& event : events) {
+    ASSERT_TRUE((*session)->Push(event).ok());
+    tracker.Observe(event, /*site=*/0);
+  }
+  StatusOr<ModelView> view = (*session)->Snapshot();
+  ASSERT_TRUE(view.ok()) << view.status();
+  ASSERT_EQ(view->events_observed(), 2000);
+
+  int64_t unobserved_rows = 0;
+  for (int i = 0; i < net.num_variables(); ++i) {
+    for (int64_t row = 0; row < net.parent_cardinality(i); ++row) {
+      for (int value = 0; value < net.cardinality(i); ++value) {
+        ASSERT_EQ(view->CpdEstimate(i, value, row),
+                  tracker.CpdEstimate(i, value, row))
+            << "variable " << i << " value " << value << " row " << row;
+      }
+      // An unobserved row reads uniform through the smoothing term.
+      if (view->CpdEstimate(i, 0, row) == 1.0 / net.cardinality(i)) {
+        ++unobserved_rows;
+      }
+    }
+  }
+  EXPECT_GT(unobserved_rows, 0);
+
+  ForwardSampler probes(net, /*seed=*/456);
+  for (int n = 0; n < 200; ++n) {
+    Instance evidence;
+    probes.Sample(&evidence);
+    const int target = n % net.num_variables();
+    ASSERT_EQ(Predict(*view, target, evidence),
+              PredictWithTracker(tracker, target, evidence))
+        << "probe " << n << " target " << target;
+  }
 }
 
 }  // namespace

@@ -77,7 +77,7 @@ TEST(SiteRoleTest, CoordinatorEchoIsReflectedInTheNextHeartbeat) {
   echo.send_nanos = kEchoNanos;
   const int64_t echo_sent = NowNanos();
   std::vector<uint8_t> bytes;
-  AppendFrame(MakeHeartbeat(0, echo), &bytes);
+  AppendFrame(MakeHeartbeat(echo), &bytes);
   ASSERT_TRUE(socket->SendAll(bytes.data(), bytes.size()).ok());
   ASSERT_TRUE(ReadUntil(&socket.value(), &frame, [](const Frame& f) {
     return f.type == FrameType::kHeartbeat && f.hb.echo_nanos == kEchoNanos;

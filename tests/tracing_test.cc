@@ -1,12 +1,12 @@
 // Unit tests for the cluster-wide tracing stack (common/tracing.h) and the
-// kTraceChunk wire codec: chunk round-trip and truncation safety, drain
-// cursor resume, sequence-gap loss accounting on the ClusterTraceBoard,
-// clock-skew estimation under symmetric and asymmetric delay, skew-corrected
-// timeline merging, Chrome-trace / flight-record JSON shapes, and the alert
-// rules' firing thresholds. The forged-site-id rejection paths live with
-// their layers: protocol_spec_test (spec machine) and metrics_test (reactor).
+// trace drain inside the telemetry frame (kHeartbeat): round-trip and
+// truncation safety, drain cursor resume, sequence-gap loss accounting on
+// the ClusterTraceBoard, clock-skew estimation under symmetric and
+// asymmetric delay, skew-corrected timeline merging, Chrome-trace /
+// flight-record JSON shapes, and the alert rules' firing thresholds.
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -91,7 +91,7 @@ TEST(ClockSkewEstimatorTest, EwmaTracksAStepChangeInOffset) {
   EXPECT_LE(skew.offset_nanos(), kOffset);
 }
 
-// --- kTraceChunk codec -----------------------------------------------------
+// --- Trace drain in the telemetry frame ------------------------------------
 
 TraceEvent MakeEvent(int64_t t_nanos, TraceEventType type, int32_t site,
                      int64_t arg) {
@@ -103,9 +103,8 @@ TraceEvent MakeEvent(int64_t t_nanos, TraceEventType type, int32_t site,
   return event;
 }
 
-TEST(TraceChunkCodecTest, RoundTripsExtremes) {
+TEST(TelemetryCodecTest, TraceDrainRoundTripsExtremes) {
   TraceChunk chunk;
-  chunk.site = 3;
   chunk.first_seq = (uint64_t{1} << 40) + 17;  // deep into a long run
   // Out-of-order timestamps (negative delta), a negative absolute time, the
   // wildcard site, and the full arg range all must survive the delta coding.
@@ -119,38 +118,36 @@ TEST(TraceChunkCodecTest, RoundTripsExtremes) {
       MakeEvent(2'000'000'000, TraceEventType::kRoundAdvance, 1, INT64_MAX));
 
   std::vector<uint8_t> bytes;
-  AppendFrame(MakeTraceChunk(chunk), &bytes);
+  AppendFrame(MakeHeartbeat({}, {}, chunk), &bytes);
   Frame decoded;
   size_t consumed = 0;
   const Status status = DecodeFrame(bytes.data(), bytes.size(), &decoded, &consumed);
   ASSERT_TRUE(status.ok()) << status;
   EXPECT_EQ(consumed, bytes.size());
-  ASSERT_EQ(decoded.type, FrameType::kTraceChunk);
+  ASSERT_EQ(decoded.type, FrameType::kHeartbeat);
   EXPECT_TRUE(decoded.trace == chunk);
 }
 
-TEST(TraceChunkCodecTest, EmptyChunkRoundTrips) {
+TEST(TelemetryCodecTest, EmptyTraceDrainRoundTrips) {
   TraceChunk chunk;
-  chunk.site = 0;
   chunk.first_seq = 9;
   std::vector<uint8_t> bytes;
-  AppendFrame(MakeTraceChunk(chunk), &bytes);
+  AppendFrame(MakeHeartbeat({}, {}, chunk), &bytes);
   Frame decoded;
   size_t consumed = 0;
   ASSERT_TRUE(DecodeFrame(bytes.data(), bytes.size(), &decoded, &consumed).ok());
   EXPECT_TRUE(decoded.trace == chunk);
 }
 
-TEST(TraceChunkCodecTest, EveryTruncationFailsCleanly) {
+TEST(TelemetryCodecTest, TraceDrainTruncationFailsCleanly) {
   TraceChunk chunk;
-  chunk.site = 1;
   chunk.first_seq = 100;
   for (int i = 0; i < 8; ++i) {
     chunk.events.push_back(
         MakeEvent(i * 1000, TraceEventType::kStatsReport, 1, i));
   }
   std::vector<uint8_t> bytes;
-  AppendFrame(MakeTraceChunk(chunk), &bytes);
+  AppendFrame(MakeHeartbeat({}, {}, chunk), &bytes);
   for (size_t len = 0; len < bytes.size(); ++len) {
     Frame decoded;
     size_t consumed = 0;
@@ -159,15 +156,42 @@ TEST(TraceChunkCodecTest, EveryTruncationFailsCleanly) {
   }
 }
 
-TEST(TraceChunkCodecTest, BadEventTypeTagIsRejected) {
+TEST(TelemetryCodecTest, BadTraceEventTypeTagIsRejected) {
   TraceChunk chunk;
-  chunk.site = 1;
   chunk.events.push_back(MakeEvent(0, static_cast<TraceEventType>(99), 1, 0));
   std::vector<uint8_t> bytes;
-  AppendFrame(MakeTraceChunk(chunk), &bytes);
+  AppendFrame(MakeHeartbeat({}, {}, chunk), &bytes);
   Frame decoded;
   size_t consumed = 0;
   EXPECT_FALSE(DecodeFrame(bytes.data(), bytes.size(), &decoded, &consumed).ok());
+}
+
+TEST(TelemetryCodecTest, TraceEventSiteBeyondInt32IsRejected) {
+  // An event's site must fit int32. The encoder writes int32 sites only, so
+  // the out-of-range id is spliced in by hand: the last event's site field
+  // is its second-to-last varint, here one byte (site 1 zigzags to 2).
+  TraceChunk chunk;
+  chunk.events.push_back(MakeEvent(0, TraceEventType::kHeartbeat, 1, 0));
+  std::vector<uint8_t> bytes;
+  AppendFrame(MakeHeartbeat({}, {}, chunk), &bytes);
+  const size_t site_at = bytes.size() - 2;
+  ASSERT_EQ(bytes[site_at], 2);
+  std::vector<uint8_t> huge;
+  AppendVarint(ZigzagEncode(int64_t{1} << 40), &huge);
+  bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(site_at));
+  bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(site_at),
+               huge.begin(), huge.end());
+  const uint32_t payload = static_cast<uint32_t>(bytes.size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    bytes[static_cast<size_t>(i)] = static_cast<uint8_t>(payload >> (8 * i));
+  }
+  Frame decoded;
+  size_t consumed = 0;
+  const Status status =
+      DecodeFrame(bytes.data(), bytes.size(), &decoded, &consumed);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("trace event site"), std::string::npos)
+      << status;
 }
 
 // --- TraceDrainCursor ------------------------------------------------------

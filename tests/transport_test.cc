@@ -331,7 +331,7 @@ TEST(ProtocolVersionTest, EarlyHeartbeatIsDroppedAsStray) {
   ASSERT_TRUE(early_peer.ok()) << early_peer.status();
   const std::vector<uint8_t> early_bytes = [] {
     std::vector<uint8_t> bytes;
-    AppendFrame(MakeHeartbeat(/*site=*/0), &bytes);
+    AppendFrame(MakeHeartbeat({}), &bytes);
     return bytes;
   }();
   ASSERT_TRUE(early_peer->SendAll(early_bytes.data(), early_bytes.size()).ok());
@@ -565,14 +565,16 @@ TEST(ProtocolConformanceTcpTest, DuplicateHelloDropsTheConnection) {
   EXPECT_EQ(ProtocolViolations(), 1u);
 }
 
-TEST(ProtocolConformanceTcpTest, StatsAfterCloseDropsTheConnection) {
+TEST(ProtocolConformanceTcpTest, UpdateAfterCloseDropsTheConnection) {
   MetricsRegistry::Global().ResetForTest();
-  // Closing the update lane is the site's terminal act; a stats report
-  // (data) after it violates the contract. The preceding heartbeat is
-  // legal in Draining and must NOT trip anything.
+  // Closing the update lane is the site's terminal act; an update bundle
+  // after it violates the contract. The preceding telemetry frame is legal
+  // in Draining and must NOT trip anything.
+  SiteStatsReport stats;
+  stats.events_processed = 5;
   EXPECT_TRUE(PeerIsDropped(EncodeFrames(
       {MakeHello(0), MakeChannelClose(FrameType::kUpdateBundle),
-       MakeHeartbeat(0), MakeStatsReport(SiteStatsReport{})})));
+       MakeHeartbeat({}, stats), MakeFrame(UpdateBundle{})})));
   EXPECT_EQ(ProtocolViolations(), 1u);
 }
 
@@ -648,13 +650,15 @@ TEST_F(ProtocolConformanceReactorTest, DuplicateHelloDropsTheSite) {
   EXPECT_EQ(ProtocolViolations(), 1u);
 }
 
-TEST_F(ProtocolConformanceReactorTest, StatsAfterCloseDropsTheSite) {
+TEST_F(ProtocolConformanceReactorTest, UpdateAfterCloseDropsTheSite) {
   MetricsRegistry::Global().ResetForTest();
+  SiteStatsReport stats;
+  stats.events_processed = 5;
   const Status failure = RunAdversarialPeer(
       {MakeFrame(UpdateBundle{}), MakeChannelClose(FrameType::kUpdateBundle),
-       MakeHeartbeat(0), MakeStatsReport(SiteStatsReport{})});
+       MakeHeartbeat({}, stats), MakeFrame(UpdateBundle{})});
   EXPECT_EQ(failure.code(), StatusCode::kUnavailable) << failure;
-  EXPECT_NE(failure.message().find("stats_report in state draining"),
+  EXPECT_NE(failure.message().find("update_bundle in state draining"),
             std::string::npos)
       << failure;
   EXPECT_EQ(ProtocolViolations(), 1u);
